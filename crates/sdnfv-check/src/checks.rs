@@ -248,6 +248,38 @@ pub fn shared_completion(opts: CheckOpts) -> u64 {
     })
 }
 
+/// Two parallel NFs hand their verdicts back in one shared packet's verdict
+/// words (`complete_with`: store, then the `AcqRel` countdown). Whichever
+/// completes last reads both positions and must see both verdicts under
+/// every interleaving — the lock-free hand-back the data plane's TX role
+/// relies on. The re-armed descriptor then carries the next round's word.
+pub fn shared_verdicts(opts: CheckOpts) -> u64 {
+    model::check("shared_verdicts", opts, || {
+        let sp = SharedPacket::new(pkt(), 2);
+        let workers: Vec<_> = (0..2usize)
+            .map(|position| {
+                let sp = sp.clone();
+                model::spawn(move || {
+                    sp.complete_with(position, 10 + position as u64)
+                        .then(|| [sp.verdict_word(0), sp.verdict_word(1)])
+                })
+            })
+            .collect();
+        let seen: Vec<[u64; 2]> = workers.into_iter().filter_map(|w| w.join()).collect();
+        assert_eq!(
+            seen,
+            [[10, 11]],
+            "the final completer must see every position's verdict"
+        );
+        sp.re_arm(1);
+        assert!(
+            sp.complete_with(0, 20),
+            "re-armed descriptor completes again"
+        );
+        assert_eq!(sp.verdict_word(0), 20);
+    })
+}
+
 /// One clean check: `(name, entry point, search options)`.
 pub type Check = (&'static str, fn(CheckOpts) -> u64, CheckOpts);
 
@@ -263,5 +295,6 @@ pub fn all() -> Vec<Check> {
         ("hist_record_merge", hist_record_merge, default),
         ("pool_occupancy", pool_occupancy, default),
         ("shared_completion", shared_completion, default),
+        ("shared_verdicts", shared_verdicts, default),
     ]
 }

@@ -388,8 +388,10 @@ fn classify(path: &Path) -> Scope {
 }
 
 /// Engine functions that run per packet (or per step-slice) and must stay
-/// free of blocking calls. `step` is the shard worker's main loop body;
-/// the rest are the NF state-mailbox accessors it calls.
+/// free of blocking calls. `step` is the shard worker's and the NF
+/// replica's loop body; the NF state-mailbox accessors are called from it;
+/// `rx_round` through `flush_staged_egress` carry every packet from
+/// ingress to egress.
 const HOT_PATH_FNS: &[&str] = &[
     "step",
     "serve_state_requests",
@@ -397,6 +399,12 @@ const HOT_PATH_FNS: &[&str] = &[
     "drain_responses",
     "post",
     "respond",
+    "rx_round",
+    "dispatch",
+    "tx_round",
+    "forward_decision",
+    "flush",
+    "flush_staged_egress",
 ];
 
 /// Scans one file's source and returns all findings (allowlist not yet
@@ -688,6 +696,16 @@ mod tests {
         let masked = mask_source(src);
         let regions = test_regions(&masked);
         assert_eq!(regions, vec![(3, 5)]);
+    }
+
+    #[test]
+    fn lock_in_a_per_packet_fn_is_flagged() {
+        let src = "impl Engine {\n    fn tx_round(&mut self) {\n        let verdicts = self.collector.lock();\n    }\n    fn spawn_nf(&mut self) {\n        let ok = self.registry.lock();\n    }\n}\n";
+        let findings = scan_source(Path::new("crates/sdnfv-dataplane/src/runtime.rs"), src);
+        let rules: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        // Only the lock inside the per-packet TX role is flagged; control
+        // paths such as replica spawning may lock.
+        assert_eq!(rules, [("hot-path-block", 3)], "{findings:?}");
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! enum knob — the textbook mistakes the checker exists to catch: a
 //! `Release` publish weakened to `Relaxed`, a weakened `Acquire` observe,
 //! an off-by-one in the ring's free-slot computation, a dropped credit
-//! release, and torn (load-then-store) read-modify-writes. The `None`
+//! release, torn (load-then-store) read-modify-writes, and a verdict
+//! hand-back that writes after the countdown or publishes without release.
+//! The `None`
 //! variant of every knob is the faithful algorithm and must pass
 //! exhaustively; every other variant must produce a violation. The
 //! mutation self-tests in `tests/model_mutants.rs` assert both directions,
@@ -19,7 +21,7 @@
 use std::sync::Arc;
 
 use sdnfv_ring::model::{self, CheckOpts, CheckReport};
-use sdnfv_ring::sync::{AtomicIsize, AtomicU64, AtomicUsize, Ordering, Slot};
+use sdnfv_ring::sync::{AtomicIsize, AtomicU32, AtomicU64, AtomicUsize, Ordering, Slot};
 
 /// Which bug (if any) to seed into the miniature SPSC ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,5 +297,81 @@ pub fn hist_scenario(bug: HistBug, opts: CheckOpts) -> CheckReport {
             2,
             "bucket lost an increment"
         );
+    })
+}
+
+/// Which bug (if any) to seed into the miniature verdict hand-back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerdictBug {
+    /// Faithful algorithm (store the verdict word, then the `AcqRel`
+    /// countdown); must pass.
+    None,
+    /// The NF counts down first and stores its verdict word afterwards:
+    /// the final completer can read the slot before the word lands.
+    WriteAfterCountdown,
+    /// The countdown keeps its acquire half but loses the release half
+    /// (`Acquire` instead of `AcqRel`): an earlier completer's word is not
+    /// published to the final completer, which may read a stale slot.
+    RelaxedPublish,
+}
+
+/// A miniature [`sdnfv_ring::SharedPacket`] verdict hand-back: two
+/// verdict words and the completion countdown, with a seeded-bug knob.
+struct MiniVerdicts {
+    remaining: AtomicU32,
+    words: [AtomicU64; 2],
+    bug: VerdictBug,
+}
+
+impl MiniVerdicts {
+    /// Stores `word` at `position` and counts down; `true` for the final
+    /// completion.
+    fn complete_with(&self, position: usize, word: u64) -> bool {
+        match self.bug {
+            VerdictBug::None => {
+                self.words[position].store(word, Ordering::Relaxed);
+                self.remaining.fetch_sub(1, Ordering::AcqRel) == 1
+            }
+            VerdictBug::WriteAfterCountdown => {
+                let last = self.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
+                self.words[position].store(word, Ordering::Relaxed);
+                last
+            }
+            VerdictBug::RelaxedPublish => {
+                self.words[position].store(word, Ordering::Relaxed);
+                self.remaining.fetch_sub(1, Ordering::Acquire) == 1
+            }
+        }
+    }
+}
+
+/// Two NFs hand back verdicts `10` and `11` through one descriptor; the
+/// final completer reads both words and asserts it sees both.
+/// `VerdictBug::None` must pass exhaustively; both seeded bugs must let
+/// some interleaving read a stale (zero) word.
+pub fn verdict_scenario(bug: VerdictBug, opts: CheckOpts) -> CheckReport {
+    model::explore(opts, move || {
+        let shared = Arc::new(MiniVerdicts {
+            remaining: AtomicU32::new(2),
+            words: [AtomicU64::new(0), AtomicU64::new(0)],
+            bug,
+        });
+        let workers: Vec<_> = (0..2usize)
+            .map(|position| {
+                let shared = Arc::clone(&shared);
+                model::spawn(move || {
+                    if shared.complete_with(position, 10 + position as u64) {
+                        let seen = [
+                            shared.words[0].load(Ordering::Relaxed),
+                            shared.words[1].load(Ordering::Relaxed),
+                        ];
+                        assert_eq!(seen, [10, 11], "final completer read a stale verdict");
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join();
+        }
     })
 }

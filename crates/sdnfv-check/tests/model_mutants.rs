@@ -6,7 +6,7 @@
 //! must pass exhaustively — that pins down that the detections below come
 //! from the seeded bug, not from a broken scenario.
 
-use sdnfv_check::mutants::{self, GateBug, HistBug, RingBug};
+use sdnfv_check::mutants::{self, GateBug, HistBug, RingBug, VerdictBug};
 use sdnfv_ring::model::{CheckOpts, CheckReport, ViolationKind};
 
 fn opts() -> CheckOpts {
@@ -111,4 +111,30 @@ fn unmutated_histogram_passes_exhaustively() {
 fn torn_histogram_record_is_caught() {
     let report = mutants::hist_scenario(HistBug::TornRecord, opts());
     assert_caught(&report, &[ViolationKind::Panic], "TornRecord");
+}
+
+#[test]
+fn unmutated_verdict_hand_back_passes_exhaustively() {
+    let report = mutants::verdict_scenario(VerdictBug::None, opts());
+    assert!(
+        report.exhaustive_pass(),
+        "clean verdict hand-back must pass: {:?}",
+        report.violation
+    );
+}
+
+#[test]
+fn verdict_written_after_the_countdown_is_caught() {
+    // The final completer can run between the other NF's countdown and its
+    // store, and read the slot still empty.
+    let report = mutants::verdict_scenario(VerdictBug::WriteAfterCountdown, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "WriteAfterCountdown");
+}
+
+#[test]
+fn verdict_published_without_release_is_caught() {
+    // Without the release half the earlier store is not ordered before the
+    // final completer's relaxed load, which may observe the initial zero.
+    let report = mutants::verdict_scenario(VerdictBug::RelaxedPublish, opts());
+    assert_caught(&report, &[ViolationKind::Panic], "RelaxedPublish");
 }

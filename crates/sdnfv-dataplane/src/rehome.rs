@@ -79,7 +79,12 @@ impl BucketTracker {
 
     /// The bucket a flow belongs to.
     pub fn bucket_of(&self, key: &FlowKey) -> usize {
-        (key.stable_hash() % self.in_flight.len() as u64) as usize
+        self.bucket_of_hash(key.stable_hash())
+    }
+
+    /// The bucket of a flow whose [`FlowKey::stable_hash`] is `hash`.
+    pub fn bucket_of_hash(&self, hash: u64) -> usize {
+        (hash % self.in_flight.len() as u64) as usize
     }
 
     /// Records one packet of `bucket` entering a shard pipeline.
@@ -92,7 +97,13 @@ impl BucketTracker {
     /// [`BucketTracker::in_flight`] acquire load, so a drain observer that
     /// reads zero also observes every table write the packet caused.
     pub fn finish(&self, key: &FlowKey) {
-        let bucket = self.bucket_of(key);
+        self.finish_hash(key.stable_hash());
+    }
+
+    /// [`BucketTracker::finish`] for a packet that carries its flow's
+    /// [`FlowKey::stable_hash`].
+    pub fn finish_hash(&self, hash: u64) {
+        let bucket = self.bucket_of_hash(hash);
         let previous = self.in_flight[bucket].fetch_sub(1, Ordering::Release);
         debug_assert!(previous > 0, "bucket {bucket} finished more than admitted");
     }

@@ -20,8 +20,8 @@
 //! Per shard, one **worker thread** runs both ends of the pipeline:
 //!
 //! * its *RX role* pops the shard's ingress ring a burst at a time, performs
-//!   the first flow-table lookup **once per distinct flow in the burst**,
-//!   and stages packet descriptors per NF ring (several rings at once for
+//!   the first flow-table lookup through the worker's lookup cache, and
+//!   stages packet descriptors per NF ring (several rings at once for
 //!   parallel rules), flushing each ring with one batched push;
 //! * each **NF thread** models one network-function VM pinned to the shard:
 //!   it polls its input ring for a burst, runs the NF's batch entry point,
@@ -29,10 +29,9 @@
 //!   completed packets are handed onward, and pushes completions to its
 //!   done ring in one burst;
 //! * the worker's *TX role* drains the done rings in bursts, resolves
-//!   conflicting verdicts, performs the next flow-table lookup (memoized per
-//!   distinct flow in the burst, on top of a per-thread lookup cache), and
-//!   either re-stages the descriptor for the next NF, stages the packet for
-//!   egress, or drops it.
+//!   conflicting verdicts, performs the next flow-table lookup (through the
+//!   worker's lookup cache), and either re-arms the descriptor for the next
+//!   NF, stages the packet for egress, or drops it.
 //!
 //! Because one thread plays both roles, every ring in a shard has exactly
 //! one producer and one consumer — including the egress ring, which needs no
@@ -50,9 +49,13 @@
 //! injector. The legacy drop-on-overflow behavior remains available as the
 //! explicit [`OverflowPolicy::Drop`].
 //!
-//! Packets are never copied between threads — descriptors reference the same
-//! [`SharedPacket`] buffer — except once at egress when the frame leaves the
-//! host.
+//! Packets are never copied between threads. Each admitted packet gets one
+//! [`SharedPacket`] descriptor, allocated at its first dispatch and re-armed
+//! for every later hop; the NFs hand their verdicts back in the descriptor's
+//! verdict words, and at egress the frame is moved out of it. The flow's
+//! 5-tuple hash is computed once, at injection, and carried with the packet
+//! for steering, bucket tracking, trace sampling, the lookup cache and the
+//! sticky replica pick.
 //!
 //! **Per-shard flow tables**: the table handed to `start_sharded` is the
 //! *template*; each shard works against its own
@@ -105,12 +108,11 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use sdnfv_flowtable::{
-    Action, Decision, EvictReason, EvictedRule, FlowRule, FlowTablePartitions, MutationLog, RuleId,
-    RulePort, ServiceId, SharedFlowTable,
+    Action, EvictReason, EvictedRule, FlowRule, FlowTablePartitions, MutationLog, RuleId, RulePort,
+    ServiceId, SharedFlowTable,
 };
 use sdnfv_nf::{
-    BurstMemo, NetworkFunction, NfContext, NfFlowState, PacketBatch, PacketBatchMut, Verdict,
-    VerdictSlice,
+    NetworkFunction, NfContext, NfFlowState, PacketBatch, PacketBatchMut, Verdict, VerdictSlice,
 };
 use sdnfv_proto::flow::FlowKey;
 use sdnfv_proto::packet::Port;
@@ -121,7 +123,7 @@ use sdnfv_telemetry::{
     SpanVerdict, TelemetrySnapshot, TelemetrySource, TraceSpan, TraceStage,
 };
 
-use crate::cache::{cached_lookup, LookupCache};
+use crate::cache::{cached_lookup_hashed, LookupCache};
 use crate::conflict::resolve_parallel_verdicts;
 use crate::messages::{apply_nf_message_tracked_with, PinTimeouts};
 use crate::rehome::{
@@ -227,16 +229,6 @@ pub struct ThreadedHostConfig {
     /// default) or only at *full egress* (strict per-flow ordering across
     /// the move) — see [`RehomeOrdering`].
     pub rehome_ordering: RehomeOrdering,
-    /// Entry floor of the per-burst lookup memo's probe cap: below this
-    /// many memoized entries the memo never bypasses. Defaults to
-    /// [`BurstMemo::BYPASS_MIN_ENTRIES`]; raise it for traffic mixes whose
-    /// bursts legitimately carry many distinct flows, lower it to shed
-    /// memo overhead sooner under spoofed-source (fig9-style DDoS) floods.
-    pub memo_bypass_min_entries: usize,
-    /// Hit-rate divisor of the memo's probe cap: memoization is abandoned
-    /// while fewer than one probe in this many hits. Defaults to
-    /// [`BurstMemo::BYPASS_HIT_DIVISOR`]; `0` disables bypassing entirely.
-    pub memo_bypass_hit_divisor: u32,
     /// How often each shard sweeps its flow-table partition for expired
     /// rules, in nanoseconds of the host clock (identical under the
     /// simulated runtime). `0` disables the amortized sweeper — rules then
@@ -284,8 +276,6 @@ impl Default for ThreadedHostConfig {
             control_ring_capacity: 16,
             rehome_pen: 32,
             rehome_ordering: RehomeOrdering::Relaxed,
-            memo_bypass_min_entries: BurstMemo::<u32, u32>::BYPASS_MIN_ENTRIES,
-            memo_bypass_hit_divisor: BurstMemo::<u32, u32>::BYPASS_HIT_DIVISOR,
             rule_sweep_interval_ns: 1_000_000,
             max_evictions_per_sweep: 256,
             pin_idle_timeout_ns: None,
@@ -617,30 +607,46 @@ pub struct BurstInjection {
 }
 
 /// A packet on its way from injection to a shard worker, with its flow key
-/// parsed once at admission.
+/// parsed and hashed once at admission.
 pub(crate) struct IngressFrame {
     packet: Packet,
     key: Option<FlowKey>,
+    /// `key`'s [`FlowKey::stable_hash`] (0 for keyless packets): the one
+    /// hash of the packet's life, reused by steering, bucket tracking,
+    /// trace sampling, the lookup cache and the sticky replica pick.
+    hash: u64,
 }
 
+/// One NF's share of a dispatch round, on the NF's input ring: a handle on
+/// the packet's descriptor plus what the worker needs back when the round
+/// completes. Every NF of a round gets its own item over the same
+/// descriptor, each with its own dispatch `position`.
 struct WorkItem {
     shared: SharedPacket,
     key: FlowKey,
+    /// `key`'s stable hash, carried from injection.
+    hash: u64,
     /// The step used for the lookup after this dispatch completes (the last
     /// service in the dispatched action list).
     exit_service: ServiceId,
-    collector: Arc<Mutex<Vec<Verdict>>>,
+    /// Where this NF stores its verdict word in the descriptor
+    /// ([`SharedPacket::complete_with`]); the worker merges the round's
+    /// words in position order.
+    position: u32,
     /// Whether the packet is trace-sampled (hash-sampled or rule-pinned):
     /// the NF replica stamps its burst window onto the [`DoneItem`] and the
     /// worker emits spans at each stage.
     traced: bool,
 }
 
+/// A completed dispatch round on its way back to the worker: pushed by the
+/// round's final completer, whose descriptor handle now carries every
+/// position's verdict word.
 struct DoneItem {
     shared: SharedPacket,
     key: FlowKey,
+    hash: u64,
     exit_service: ServiceId,
-    collector: Arc<Mutex<Vec<Verdict>>>,
     traced: bool,
     /// Host-clock window of the NF burst that completed the packet (the
     /// last replica, for parallel dispatch). Stamped by the NF thread so
@@ -1013,9 +1019,9 @@ impl ThreadedHost {
         self.advance_rehoming();
         packet.timestamp_ns = self.now_ns();
         let key = packet.flow_key();
+        let hash = key.as_ref().map_or(0, FlowKey::stable_hash);
         let (shard, tracked) = match &key {
             Some(k) => {
-                let hash = k.stable_hash();
                 let bucket = (hash % STEER_BUCKETS as u64) as usize;
                 if self.rehome.borrow().is_parked(bucket) {
                     return self.park(bucket, packet, *k);
@@ -1032,7 +1038,7 @@ impl ThreadedHost {
                 return InjectResult::Throttled(packet);
             }
         }
-        match ports.ingress.push(IngressFrame { packet, key }) {
+        match ports.ingress.push(IngressFrame { packet, key, hash }) {
             Ok(()) => {
                 if let Some(bucket) = tracked {
                     self.tracker.admit(bucket);
@@ -1126,7 +1132,6 @@ impl ThreadedHost {
             let mut frames: Vec<IngressFrame> = Vec::with_capacity(packets.len());
             for mut packet in packets {
                 packet.timestamp_ns = now;
-                let key = packet.flow_key();
                 if let Some(gate) = &ports.gate {
                     if !gate.try_acquire(1) {
                         ports.stats.add_throttled(1);
@@ -1134,7 +1139,9 @@ impl ThreadedHost {
                         continue;
                     }
                 }
-                frames.push(IngressFrame { packet, key });
+                let key = packet.flow_key();
+                let hash = key.as_ref().map_or(0, FlowKey::stable_hash);
+                frames.push(IngressFrame { packet, key, hash });
             }
             drop(shards);
             self.push_shard_frames(0, frames, &mut result);
@@ -1145,9 +1152,9 @@ impl ThreadedHost {
         for mut packet in packets {
             packet.timestamp_ns = now;
             let key = packet.flow_key();
+            let hash = key.as_ref().map_or(0, FlowKey::stable_hash);
             let shard = match &key {
                 Some(k) => {
-                    let hash = k.stable_hash();
                     if rehoming {
                         let bucket = (hash % STEER_BUCKETS as u64) as usize;
                         if self.rehome.borrow().is_parked(bucket) {
@@ -1170,7 +1177,7 @@ impl ThreadedHost {
                     continue;
                 }
             }
-            staged[shard].push(IngressFrame { packet, key });
+            staged[shard].push(IngressFrame { packet, key, hash });
         }
         drop(shards);
         for (shard, frames) in staged.into_iter().enumerate() {
@@ -1198,8 +1205,8 @@ impl ThreadedHost {
         // leftovers the ring rejected (same management thread: the
         // transient is never observed by a drain check).
         for frame in &frames {
-            if let Some(key) = &frame.key {
-                self.tracker.admit(self.tracker.bucket_of(key));
+            if frame.key.is_some() {
+                self.tracker.admit(self.tracker.bucket_of_hash(frame.hash));
             }
         }
         result.admitted += ports.ingress.push_n(&mut frames);
@@ -1208,8 +1215,8 @@ impl ThreadedHost {
         }
         let leftover = frames.len();
         for frame in &frames {
-            if let Some(key) = &frame.key {
-                self.tracker.finish(key);
+            if frame.key.is_some() {
+                self.tracker.finish_hash(frame.hash);
             }
         }
         match &ports.gate {
@@ -1655,6 +1662,7 @@ impl ThreadedHost {
                 match ports.ingress.push(IngressFrame {
                     packet,
                     key: Some(key),
+                    hash: key.stable_hash(),
                 }) {
                     Ok(()) => {
                         self.tracker.admit(mv.bucket);
@@ -2399,12 +2407,10 @@ fn launch_pipeline(
         ordering: config.rehome_ordering,
         clock,
         spawner,
-        cache: LookupCache::new(4096),
-        memo: BurstLookupMemo::with_thresholds(
-            config.memo_bypass_min_entries,
-            config.memo_bypass_hit_divisor,
-        ),
+        cache: Some(LookupCache::new(LOOKUP_CACHE_ENTRIES)),
         staging: BurstStaging::new(0, config.burst_size),
+        targets: Vec::new(),
+        verdicts: Vec::new(),
         rx_burst: Vec::with_capacity(config.burst_size),
         done_burst: Vec::with_capacity(config.burst_size),
         control: control_rx,
@@ -2538,7 +2544,8 @@ struct EgressMeta {
     staged_ns: u64,
     /// Whether the packet is trace-sampled (an egress span is emitted).
     traced: bool,
-    /// Stable flow hash (span correlation; 0 when not traced).
+    /// The packet's carried flow hash (bucket release under strict
+    /// ordering; span correlation when traced).
     flow_hash: u64,
 }
 
@@ -2560,45 +2567,39 @@ impl BurstStaging {
     }
 }
 
-/// A burst-local memo of flow-table lookups: one table probe per distinct
-/// `(step, flow)` pair per burst, on top of the per-thread [`LookupCache`].
-/// Cleared at every burst boundary so that cross-layer messages applied
-/// between bursts are always visible to the next burst's lookups.
-#[derive(Default)]
-struct BurstLookupMemo {
-    entries: BurstMemo<(RulePort, FlowKey), Option<Decision>>,
+/// Decisions each shard worker's lookup cache holds.
+const LOOKUP_CACHE_ENTRIES: usize = 4096;
+
+/// Why a packet could not be staged to the NFs its rule names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unstaged {
+    /// The action list names no service.
+    NoTarget,
+    /// A named service has no active replica on this shard.
+    NoReplica,
+    /// A target ring has no room for the packet (drop policy only).
+    RingFull,
 }
 
-impl BurstLookupMemo {
-    /// Builds the memo with the host's configured probe-cap thresholds
-    /// ([`ThreadedHostConfig::memo_bypass_min_entries`] /
-    /// [`ThreadedHostConfig::memo_bypass_hit_divisor`]).
-    fn with_thresholds(bypass_min_entries: usize, bypass_hit_divisor: u32) -> Self {
-        BurstLookupMemo {
-            entries: BurstMemo::with_thresholds(bypass_min_entries, bypass_hit_divisor),
-        }
+/// Encodes an NF's verdict as a descriptor verdict word (see
+/// [`SharedPacket::complete_with`]): the variant in the low byte, its
+/// operand above it. `0` is [`Verdict::Default`].
+fn verdict_word(verdict: Verdict) -> u64 {
+    match verdict {
+        Verdict::Default => 0,
+        Verdict::Discard => 1,
+        Verdict::ToService(service) => 2 | u64::from(service.value()) << 8,
+        Verdict::ToPort(port) => 3 | u64::from(port) << 8,
     }
+}
 
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn lookup(
-        &mut self,
-        table: &SharedFlowTable,
-        cache: &mut LookupCache,
-        enable_cache: bool,
-        step: RulePort,
-        key: &FlowKey,
-        now_ns: u64,
-        ttl_ns: u64,
-    ) -> Option<Decision> {
-        self.entries
-            .get_or_insert_with((step, *key), |(step, key)| {
-                cached_lookup(table, cache, enable_cache, *step, key, now_ns, ttl_ns)
-            })
-            .clone()
+/// Decodes a word written by [`verdict_word`].
+fn word_verdict(word: u64) -> Verdict {
+    match word & 0xff {
+        1 => Verdict::Discard,
+        2 => Verdict::ToService(ServiceId::new((word >> 8) as u32)),
+        3 => Verdict::ToPort((word >> 8) as Port),
+        _ => Verdict::Default,
     }
 }
 
@@ -2672,9 +2673,18 @@ pub(crate) struct ShardEngine {
     /// How NF replicas are launched: OS threads in production, registered
     /// simulation actors under the deterministic harness.
     spawner: Box<dyn ReplicaSpawner>,
-    cache: LookupCache,
-    memo: BurstLookupMemo,
+    /// Flow-table decisions by `(flow, step)`, keyed by the carried flow
+    /// hash. Taken out of the engine for the length of an RX or TX round
+    /// (`None` meanwhile), so a hit is used in place while the round
+    /// stages packets.
+    cache: Option<LookupCache>,
     staging: BurstStaging,
+    /// Reused dispatch scratch: the slot of each target NF of the packet
+    /// being staged, in dispatch-position order.
+    targets: Vec<usize>,
+    /// Reused merge scratch: the verdicts of a completed parallel round,
+    /// in dispatch-position order.
+    verdicts: Vec<Verdict>,
     /// Reused RX burst buffer (popped ingress frames).
     rx_burst: Vec<IngressFrame>,
     /// Reused TX burst buffer (popped done items).
@@ -2711,8 +2721,9 @@ pub(crate) struct ShardEngine {
     /// Loop-iteration countdown between sweep clock checks (same pattern
     /// as `telemetry_check`).
     sweep_check: u32,
-    /// Latest clock reading taken by the sweep path; the lookup cache's
-    /// TTL checks use it so the hot path never reads the clock itself.
+    /// Latest clock reading taken by the sweep path or an RX/TX round;
+    /// `flush` stamps the spans of packets that die at a full NF ring with
+    /// it instead of reading the clock again.
     approx_now_ns: u64,
     /// TTL for lookup-cache entries, forcing periodic table fall-through
     /// so idle timers refresh under cached traffic (0 = no TTL).
@@ -2850,16 +2861,16 @@ impl ShardEngine {
                     while let Some(frame) = ingress.pop() {
                         self.stats.add_overflow_drops(1);
                         self.release_credits(1);
-                        if let Some(key) = &frame.key {
-                            self.tracker.finish(key);
+                        if frame.key.is_some() {
+                            self.finish_flow(frame.hash);
                             // Straggler drops still terminate the traces of
                             // hash-sampled flows, so span conservation holds
                             // across a teardown.
-                            if sample_every != 0 && key.stable_hash() % sample_every == 0 {
+                            if sample_every != 0 && frame.hash % sample_every == 0 {
                                 self.emit_span(
                                     TraceStage::Rx,
                                     0,
-                                    key.stable_hash(),
+                                    frame.hash,
                                     frame.packet.timestamp_ns,
                                     now_ns,
                                     SpanVerdict::Dropped,
@@ -3620,13 +3631,12 @@ impl ShardEngine {
 
     /// Stages a packet for egress together with its latency/trace metadata
     /// (kept index-aligned with `staging.egress` — see [`EgressMeta`]).
-    fn stage_egress(&mut self, out: HostOutput, staged_ns: u64, traced: bool) {
-        let flow_hash = if traced { out.key.stable_hash() } else { 0 };
+    fn stage_egress(&mut self, out: HostOutput, hash: u64, staged_ns: u64, traced: bool) {
         self.staging.egress_meta.push(EgressMeta {
             ingress_ns: out.packet.timestamp_ns,
             staged_ns,
             traced,
-            flow_hash,
+            flow_hash: hash,
         });
         self.staging.egress.push(out);
     }
@@ -3643,9 +3653,10 @@ impl ShardEngine {
     /// Records a keyed packet's last possible flow-state touch: it was
     /// staged for egress, dropped or punted, so it can no longer read or
     /// write this shard's flow table. Called exactly once per tracked
-    /// packet — the decrement side of the bucket-drain handshake.
-    fn finish_flow(&self, key: &FlowKey) {
-        self.tracker.finish(key);
+    /// packet (by its carried flow `hash`) — the decrement side of the
+    /// bucket-drain handshake.
+    fn finish_flow(&self, hash: u64) {
+        self.tracker.finish_hash(hash);
     }
 
     /// The bucket-count release point for packets bound for egress: under
@@ -3654,9 +3665,34 @@ impl ShardEngine {
     /// [`RehomeOrdering::Strict`] it drops only when the host polls the
     /// packet out, so a moving bucket's release waits for full egress and
     /// per-flow egress order is preserved across the move.
-    fn finish_at_egress_staging(&self, key: &FlowKey) {
+    fn finish_at_egress_staging(&self, hash: u64) {
         if matches!(self.ordering, RehomeOrdering::Relaxed) {
-            self.tracker.finish(key);
+            self.finish_flow(hash);
+        }
+    }
+
+    /// Ends a packet that reached a terminal state inside the worker
+    /// without egress: counts it as a controller punt or a drop, returns
+    /// its credit and closes its bucket count.
+    fn terminate(&self, hash: u64, punted: bool) {
+        if punted {
+            self.stats.add_controller_punts(1);
+        } else {
+            self.stats.add_dropped(1);
+        }
+        self.release_credits(1);
+        self.finish_flow(hash);
+    }
+
+    /// Ends a packet whose targets could not be staged. A missing target or
+    /// replica is a drop; only a full ring counts as an overflow drop.
+    fn drop_unstaged(&self, hash: u64, why: Unstaged) {
+        if why == Unstaged::RingFull {
+            self.stats.add_overflow_drops(1);
+            self.release_credits(1);
+            self.finish_flow(hash);
+        } else {
+            self.terminate(hash, false);
         }
     }
 
@@ -3671,8 +3707,8 @@ impl ShardEngine {
         }
         self.stats.add_overflow_drops(leftover as u64);
         if matches!(self.ordering, RehomeOrdering::Strict) {
-            for out in &self.staging.egress {
-                self.tracker.finish(&out.key);
+            for meta in &self.staging.egress_meta {
+                self.finish_flow(meta.flow_hash);
             }
         }
         self.staging.egress.clear();
@@ -3705,29 +3741,19 @@ impl ShardEngine {
         }
     }
 
-    fn lookup(&mut self, step: RulePort, key: &FlowKey) -> Option<Decision> {
-        self.memo.lookup(
-            &self.table,
-            &mut self.cache,
-            self.enable_cache,
-            step,
-            key,
-            self.approx_now_ns,
-            self.cache_ttl_ns,
-        )
-    }
-
-    /// RX role: first lookup per distinct flow, then dispatch into NF rings.
+    /// RX role: one cached lookup per packet, then dispatch into NF rings.
     fn rx_round(&mut self, burst: &mut Vec<IngressFrame>) {
         self.stats.add_received(burst.len() as u64);
-        self.memo.clear();
         // One clock read per burst covers the ingress-wait records, the
-        // trace-span stamps, and (as `approx_now_ns`) the lookup-cache TTL.
+        // trace-span stamps and the lookup-cache TTL.
         let now_ns = self.clock.now_ns();
         self.approx_now_ns = now_ns;
         let sample_every = self.trace_sampling.load(Ordering::Relaxed);
-        for frame in burst.drain(..) {
-            let IngressFrame { packet, key } = frame;
+        let mut cache = self
+            .cache
+            .take()
+            .expect("lookup cache is back between rounds");
+        for IngressFrame { packet, key, hash } in burst.drain(..) {
             self.latency
                 .ingress_wait
                 .record(now_ns.saturating_sub(packet.timestamp_ns));
@@ -3736,19 +3762,26 @@ impl ShardEngine {
                 self.release_credits(1);
                 continue;
             };
-            let sampled = sample_every != 0 && key.stable_hash() % sample_every == 0;
+            let sampled = sample_every != 0 && hash % sample_every == 0;
             let step = RulePort::Nic(packet.ingress_port);
-            let Some(decision) = self.lookup(step, &key) else {
+            let Some(decision) = cached_lookup_hashed(
+                &self.table,
+                &mut cache,
+                self.enable_cache,
+                step,
+                &key,
+                hash,
+                now_ns,
+                self.cache_ttl_ns,
+            ) else {
                 // No controller thread is attached in the threaded runtime;
                 // a miss is counted and the packet is dropped.
-                self.stats.add_controller_punts(1);
-                self.release_credits(1);
-                self.finish_flow(&key);
+                self.terminate(hash, true);
                 if sampled {
                     self.emit_span(
                         TraceStage::Rx,
                         0,
-                        key.stable_hash(),
+                        hash,
                         packet.timestamp_ns,
                         now_ns,
                         SpanVerdict::Punted,
@@ -3760,22 +3793,79 @@ impl ShardEngine {
             self.dispatch(
                 packet,
                 key,
+                hash,
                 &decision.actions,
                 decision.parallel,
                 traced,
                 now_ns,
             );
         }
+        self.cache = Some(cache);
         self.flush();
+    }
+
+    /// Picks one active replica of every service in `services` into
+    /// `self.targets`, in order, and returns the last service (the step of
+    /// the lookup after the round completes).
+    fn pick_targets(
+        &mut self,
+        services: impl Iterator<Item = ServiceId>,
+        hash: u64,
+    ) -> Result<ServiceId, Unstaged> {
+        self.targets.clear();
+        let mut exit_service = Err(Unstaged::NoTarget);
+        for service in services {
+            let index = pick_instance(
+                &self.service_instances,
+                &self.slots,
+                &self.staging,
+                service,
+                self.replica_dispatch,
+                hash,
+            )
+            .ok_or(Unstaged::NoReplica)?;
+            self.targets.push(index);
+            exit_service = Ok(service);
+        }
+        exit_service
+    }
+
+    /// Stages one work item per picked target over `shared`, which must be
+    /// armed for `self.targets.len()` readers. The last target takes the
+    /// handle itself, so a one-NF round moves the descriptor without
+    /// touching its reference count.
+    fn stage_round(
+        &mut self,
+        shared: SharedPacket,
+        key: FlowKey,
+        hash: u64,
+        exit_service: ServiceId,
+        traced: bool,
+    ) {
+        let last = self.targets.len() - 1;
+        let item = |shared: SharedPacket, position: usize| WorkItem {
+            shared,
+            key,
+            hash,
+            exit_service,
+            position: position as u32,
+            traced,
+        };
+        for (position, &index) in self.targets[..last].iter().enumerate() {
+            self.staging.per_ring[index].push(item(shared.clone(), position));
+        }
+        self.staging.per_ring[self.targets[last]].push(item(shared, last));
     }
 
     /// Stages a packet according to an action list (first dispatch),
     /// emitting the packet's RX span if it is traced: `Forwarded` when the
     /// packet continues toward an NF or egress, terminal otherwise.
+    #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &mut self,
         packet: Packet,
         key: FlowKey,
+        hash: u64,
         actions: &[Action],
         parallel: bool,
         traced: bool,
@@ -3784,138 +3874,82 @@ impl ShardEngine {
         let ingress_ns = packet.timestamp_ns;
         let rx_span = |engine: &mut Self, verdict: SpanVerdict| {
             if traced {
-                engine.emit_span(
-                    TraceStage::Rx,
-                    0,
-                    key.stable_hash(),
-                    ingress_ns,
-                    now_ns,
-                    verdict,
-                );
+                engine.emit_span(TraceStage::Rx, 0, hash, ingress_ns, now_ns, verdict);
             }
         };
-        if parallel {
-            let targets: Vec<ServiceId> = actions
-                .iter()
-                .filter_map(|a| match a {
-                    Action::ToService(s) => Some(*s),
-                    _ => None,
-                })
-                .collect();
-            if targets.is_empty() {
-                self.stats.add_dropped(1);
-                self.release_credits(1);
-                self.finish_flow(&key);
-                rx_span(self, SpanVerdict::Dropped);
-                return;
-            }
-            let indices: Vec<usize> = targets
-                .iter()
-                .filter_map(|s| {
-                    pick_instance(
-                        &self.service_instances,
-                        &self.slots,
-                        &self.staging,
-                        *s,
-                        self.replica_dispatch,
-                        &key,
-                    )
-                })
-                .collect();
-            if indices.len() != targets.len() {
-                self.stats.add_overflow_drops(1);
-                self.release_credits(1);
-                self.finish_flow(&key);
-                rx_span(self, SpanVerdict::Dropped);
-                return;
-            }
-            // All-or-nothing: a parallel packet must reach *every* target NF
-            // or none — partial delivery would let a packet bypass e.g. a
-            // firewall whose ring happened to be full and still be forwarded
-            // on the other NFs' verdicts alone.
-            if !parallel_fits(&self.staging, &self.slots, &indices) {
-                self.stats.add_overflow_drops(1);
-                self.release_credits(1);
-                self.finish_flow(&key);
-                rx_span(self, SpanVerdict::Dropped);
-                return;
-            }
-            self.stats.add_parallel_dispatches(1);
-            let shared = SharedPacket::new(packet, indices.len() as u32);
-            let collector = Arc::new(Mutex::new(Vec::with_capacity(indices.len())));
-            let exit_service = *targets.last().expect("targets is non-empty");
-            for index in indices {
-                self.staging.per_ring[index].push(WorkItem {
-                    shared: shared.clone(),
-                    key,
-                    exit_service,
-                    collector: Arc::clone(&collector),
-                    traced,
-                });
-            }
-            rx_span(self, SpanVerdict::Forwarded);
-            return;
-        }
-
-        match actions.first().copied() {
-            Some(Action::ToService(service)) => {
-                match pick_instance(
-                    &self.service_instances,
-                    &self.slots,
-                    &self.staging,
-                    service,
-                    self.replica_dispatch,
-                    &key,
-                ) {
-                    Some(index) => {
-                        let shared = SharedPacket::new(packet, 1);
-                        self.staging.per_ring[index].push(WorkItem {
-                            shared,
-                            key,
-                            exit_service: service,
-                            collector: Arc::new(Mutex::new(Vec::with_capacity(1))),
-                            traced,
-                        });
-                        rx_span(self, SpanVerdict::Forwarded);
+        let picked = if parallel {
+            self.pick_targets(actions.iter().filter_map(Action::service), hash)
+                .and_then(|exit_service| {
+                    // All-or-nothing: a parallel packet must reach *every*
+                    // target NF or none — partial delivery would let a
+                    // packet bypass e.g. a firewall whose ring happened to
+                    // be full and still be forwarded on the other NFs'
+                    // verdicts alone.
+                    if parallel_fits(&self.staging, &self.slots, &self.targets) {
+                        self.stats.add_parallel_dispatches(1);
+                        Ok(exit_service)
+                    } else {
+                        Err(Unstaged::RingFull)
                     }
-                    None => {
-                        self.stats.add_dropped(1);
-                        self.release_credits(1);
-                        self.finish_flow(&key);
-                        rx_span(self, SpanVerdict::Dropped);
-                    }
+                })
+        } else {
+            match actions.first().copied() {
+                Some(Action::ToService(service)) => {
+                    self.pick_targets(std::iter::once(service), hash)
                 }
+                Some(Action::ToPort(port)) => {
+                    // Transmitted accounting (and credit release) happens
+                    // at flush, when the egress push lands; the packet's
+                    // flow-state work is already over, so its bucket count
+                    // drops here (or at full egress under strict ordering).
+                    self.finish_at_egress_staging(hash);
+                    self.stage_egress(HostOutput { port, packet, key }, hash, now_ns, traced);
+                    rx_span(self, SpanVerdict::Forwarded);
+                    return;
+                }
+                Some(Action::ToController) => {
+                    self.terminate(hash, true);
+                    rx_span(self, SpanVerdict::Punted);
+                    return;
+                }
+                Some(Action::Drop) | Some(Action::Trace) | None => Err(Unstaged::NoTarget),
             }
-            Some(Action::ToPort(port)) => {
-                // Transmitted accounting (and credit release) happens at
-                // flush, when the egress push lands; the packet's
-                // flow-state work is already over, so its bucket count
-                // drops here (or at full egress under strict ordering).
-                self.finish_at_egress_staging(&key);
-                self.stage_egress(HostOutput { port, packet, key }, now_ns, traced);
+        };
+        match picked {
+            Ok(exit_service) => {
+                let shared = SharedPacket::new(packet, self.targets.len() as u32);
+                self.stage_round(shared, key, hash, exit_service, traced);
                 rx_span(self, SpanVerdict::Forwarded);
             }
-            Some(Action::ToController) => {
-                self.stats.add_controller_punts(1);
-                self.release_credits(1);
-                self.finish_flow(&key);
-                rx_span(self, SpanVerdict::Punted);
-            }
-            Some(Action::Drop) | Some(Action::Trace) | None => {
-                self.stats.add_dropped(1);
-                self.release_credits(1);
-                self.finish_flow(&key);
+            Err(why) => {
+                self.drop_unstaged(hash, why);
                 rx_span(self, SpanVerdict::Dropped);
             }
         }
     }
 
+    /// The merged verdict of a completed round, read from the descriptor's
+    /// verdict words in dispatch-position order.
+    fn merged_verdict(&mut self, shared: &SharedPacket) -> Verdict {
+        let readers = shared.readers() as usize;
+        if readers == 1 {
+            return word_verdict(shared.verdict_word(0));
+        }
+        self.verdicts.clear();
+        self.verdicts
+            .extend((0..readers).map(|position| word_verdict(shared.verdict_word(position))));
+        resolve_parallel_verdicts(&self.verdicts)
+    }
+
     /// TX role: resolve verdicts of a done burst, look up next hops, and
     /// either re-stage, stage for egress, or drop.
     fn tx_round(&mut self, burst: &mut Vec<DoneItem>) {
-        self.memo.clear();
         let now_ns = self.clock.now_ns();
         self.approx_now_ns = now_ns;
+        let mut cache = self
+            .cache
+            .take()
+            .expect("lookup cache is back between rounds");
         for item in burst.drain(..) {
             if item.traced {
                 // The NF span covers the burst window the NF thread stamped;
@@ -3924,45 +3958,50 @@ impl ShardEngine {
                 self.emit_span(
                     TraceStage::Nf,
                     item.exit_service.value(),
-                    item.key.stable_hash(),
+                    item.hash,
                     item.nf_started_ns,
                     item.nf_ended_ns,
                     SpanVerdict::Forwarded,
                 );
             }
-            let verdicts = item.collector.lock().clone();
-            let resolved = resolve_parallel_verdicts(&verdicts);
-            let step = RulePort::Service(item.exit_service);
-            let action = match resolved {
-                Verdict::Discard => Action::Drop,
-                Verdict::Default => {
-                    match self.lookup(step, &item.key) {
-                        Some(decision) => {
-                            // Follow the whole decision (it may itself be a
-                            // parallel rule or a multi-action list).
-                            let actions = decision.actions.clone();
-                            self.forward_decision(item, &actions, decision.parallel, now_ns);
-                            continue;
-                        }
-                        None => Action::ToController,
-                    }
+            let resolved = self.merged_verdict(&item.shared);
+            if resolved == Verdict::Discard {
+                self.forward_decision(item, &[Action::Drop], false, now_ns);
+                continue;
+            }
+            let decision = cached_lookup_hashed(
+                &self.table,
+                &mut cache,
+                self.enable_cache,
+                RulePort::Service(item.exit_service),
+                &item.key,
+                item.hash,
+                now_ns,
+                self.cache_ttl_ns,
+            );
+            match (resolved.as_action(), decision) {
+                // Follow the whole decision (it may itself be a parallel
+                // rule or a multi-action list).
+                (None, Some(decision)) => {
+                    self.forward_decision(item, &decision.actions, decision.parallel, now_ns)
                 }
-                other => {
-                    let requested = other.as_action().expect("non-default verdict");
-                    match self.lookup(step, &item.key) {
+                (None, None) => self.forward_decision(item, &[Action::ToController], false, now_ns),
+                (Some(requested), decision) => {
+                    let action = match decision {
                         Some(decision) if decision.allows(requested) => requested,
                         Some(decision) => decision.default_action().unwrap_or(Action::Drop),
                         None => requested,
-                    }
+                    };
+                    self.forward_decision(item, &[action], false, now_ns);
                 }
-            };
-            self.forward_decision(item, &[action], false, now_ns);
+            }
         }
+        self.cache = Some(cache);
         self.flush();
     }
 
     /// Forwards a completed packet according to an action list by re-arming
-    /// its shared buffer and staging it again (or staging it for egress /
+    /// its descriptor and staging it again (or staging it for egress /
     /// dropping it).
     fn forward_decision(
         &mut self,
@@ -3971,13 +4010,22 @@ impl ShardEngine {
         parallel: bool,
         now_ns: u64,
     ) {
-        let tx_span = |engine: &mut Self, item: &DoneItem, verdict: SpanVerdict| {
-            if item.traced {
+        let DoneItem {
+            shared,
+            key,
+            hash,
+            exit_service: done_service,
+            traced,
+            nf_ended_ns,
+            ..
+        } = item;
+        let tx_span = |engine: &mut Self, verdict: SpanVerdict| {
+            if traced {
                 engine.emit_span(
                     TraceStage::Tx,
-                    item.exit_service.value(),
-                    item.key.stable_hash(),
-                    item.nf_ended_ns,
+                    done_service.value(),
+                    hash,
+                    nf_ended_ns,
                     now_ns,
                     verdict,
                 );
@@ -3987,99 +4035,61 @@ impl ShardEngine {
         if !parallel {
             match actions.first().copied() {
                 Some(Action::ToPort(port)) => {
-                    self.finish_at_egress_staging(&item.key);
-                    let packet = item.shared.clone_packet();
-                    self.stage_egress(
-                        HostOutput {
-                            port,
-                            packet,
-                            key: item.key,
-                        },
-                        now_ns,
-                        item.traced,
-                    );
+                    self.finish_at_egress_staging(hash);
+                    let packet = shared.into_packet();
+                    self.stage_egress(HostOutput { port, packet, key }, hash, now_ns, traced);
                     return;
                 }
                 Some(Action::Drop) | Some(Action::Trace) | None => {
-                    self.stats.add_dropped(1);
-                    self.release_credits(1);
-                    self.finish_flow(&item.key);
-                    tx_span(self, &item, SpanVerdict::Dropped);
+                    self.terminate(hash, false);
+                    tx_span(self, SpanVerdict::Dropped);
                     return;
                 }
                 Some(Action::ToController) => {
-                    self.stats.add_controller_punts(1);
-                    self.release_credits(1);
-                    self.finish_flow(&item.key);
-                    tx_span(self, &item, SpanVerdict::Punted);
+                    self.terminate(hash, true);
+                    tx_span(self, SpanVerdict::Punted);
                     return;
                 }
                 Some(Action::ToService(_)) => {}
             }
         }
-        // Re-dispatch to one or more NFs: re-arm the shared buffer (all
-        // previous readers have completed) and reuse the zero-copy path.
-        let targets: Vec<ServiceId> = actions
-            .iter()
-            .filter_map(|a| match a {
-                Action::ToService(s) => Some(*s),
-                _ => None,
-            })
-            .collect();
-        if targets.is_empty() {
-            self.stats.add_dropped(1);
-            self.release_credits(1);
-            self.finish_flow(&item.key);
-            tx_span(self, &item, SpanVerdict::Dropped);
-            return;
-        }
-        let indices: Vec<usize> = targets
-            .iter()
-            .filter_map(|s| {
-                pick_instance(
-                    &self.service_instances,
-                    &self.slots,
-                    &self.staging,
-                    *s,
-                    self.replica_dispatch,
-                    &item.key,
-                )
-            })
-            .collect();
-        if indices.len() != targets.len() {
-            self.stats.add_overflow_drops(1);
-            self.release_credits(1);
-            self.finish_flow(&item.key);
-            tx_span(self, &item, SpanVerdict::Dropped);
-            return;
-        }
-        // All-or-nothing for any multi-target re-dispatch (parallel or a
-        // sequential rule listing several services): partial delivery would
-        // let the packet's fate be decided by a subset of the NFs it was
-        // meant to visit. See the matching check in `dispatch`.
-        if !parallel_fits(&self.staging, &self.slots, &indices) {
-            self.stats.add_overflow_drops(1);
-            self.release_credits(1);
-            self.finish_flow(&item.key);
-            tx_span(self, &item, SpanVerdict::Dropped);
-            return;
-        }
+        // Re-dispatch to one or more NFs. All-or-nothing for any
+        // multi-target re-dispatch (parallel or a sequential rule listing
+        // several services): partial delivery would let the packet's fate
+        // be decided by a subset of the NFs it was meant to visit. See the
+        // matching check in `dispatch`.
+        let picked = self
+            .pick_targets(actions.iter().filter_map(Action::service), hash)
+            .and_then(|exit_service| {
+                if parallel_fits(&self.staging, &self.slots, &self.targets) {
+                    Ok(exit_service)
+                } else {
+                    Err(Unstaged::RingFull)
+                }
+            });
+        let exit_service = match picked {
+            Ok(exit_service) => exit_service,
+            Err(why) => {
+                self.drop_unstaged(hash, why);
+                tx_span(self, SpanVerdict::Dropped);
+                return;
+            }
+        };
         if parallel {
             self.stats.add_parallel_dispatches(1);
         }
-        item.shared.re_arm(indices.len() as u32);
-        let collector = Arc::new(Mutex::new(Vec::with_capacity(indices.len())));
-        let exit_service = *targets.last().expect("targets is non-empty");
-        for index in indices {
-            self.staging.per_ring[index].push(WorkItem {
-                shared: item.shared.clone(),
-                key: item.key,
-                exit_service,
-                collector: Arc::clone(&collector),
-                traced: item.traced,
-            });
-        }
-        tx_span(self, &item, SpanVerdict::Forwarded);
+        // Every reader of the previous round has completed, so the same
+        // descriptor is re-armed — unless the new round is wider than its
+        // verdict words, which takes a fresh descriptor.
+        let readers = self.targets.len() as u32;
+        let shared = if self.targets.len() <= shared.verdict_capacity() {
+            shared.re_arm(readers);
+            shared
+        } else {
+            SharedPacket::new(shared.into_packet(), readers)
+        };
+        self.stage_round(shared, key, hash, exit_service, traced);
+        tx_span(self, SpanVerdict::Forwarded);
     }
 
     /// Flushes every staged descriptor with one batched push per ring.
@@ -4106,39 +4116,29 @@ impl ShardEngine {
             // under backpressure (credits are clamped below every ring
             // capacity); under the drop policy this mirrors the legacy
             // push-failure path.
-            let mut dropped_items = 0u64;
-            let mut dead_packets = 0usize;
-            let mut dead_keys: Vec<FlowKey> = Vec::new();
-            let mut dead_traced: Vec<FlowKey> = Vec::new();
-            for item in self.staging.per_ring[ring_index].drain(..) {
-                dropped_items += 1;
-                if item.shared.complete_one() {
-                    dead_packets += 1;
-                    dead_keys.push(item.key);
-                    if item.traced {
-                        dead_traced.push(item.key);
-                    }
-                }
-            }
-            self.stats.add_overflow_drops(dropped_items);
-            self.release_credits(dead_packets);
-            for key in dead_keys {
-                self.finish_flow(&key);
-            }
+            let mut leftovers = std::mem::take(&mut self.staging.per_ring[ring_index]);
+            self.stats.add_overflow_drops(leftovers.len() as u64);
             // Terminal span for traced packets that died at a full NF ring:
             // the packet never reached the NF, so the Tx span is zero-width
             // at the drop instant.
             let now_ns = self.approx_now_ns;
-            for key in dead_traced {
-                self.emit_span(
-                    TraceStage::Tx,
-                    0,
-                    key.stable_hash(),
-                    now_ns,
-                    now_ns,
-                    SpanVerdict::Dropped,
-                );
+            for item in leftovers.drain(..) {
+                if item.shared.complete_one() {
+                    self.release_credits(1);
+                    self.finish_flow(item.hash);
+                    if item.traced {
+                        self.emit_span(
+                            TraceStage::Tx,
+                            0,
+                            item.hash,
+                            now_ns,
+                            now_ns,
+                            SpanVerdict::Dropped,
+                        );
+                    }
+                }
             }
+            self.staging.per_ring[ring_index] = leftovers;
         }
         self.flush_staged_egress();
     }
@@ -4217,7 +4217,7 @@ fn parallel_fits(staging: &BurstStaging, slots: &[NfSlot], indices: &[usize]) ->
 
 /// Picks the replica of a service that serves this packet.
 ///
-/// Under [`ReplicaDispatch::Sticky`] the flow's stable hash indexes the
+/// Under [`ReplicaDispatch::Sticky`] the flow's stable `hash` indexes the
 /// (insertion-ordered) replica list, so every packet of a flow reaches the
 /// same replica and per-flow NF state never splinters across instances. The
 /// credit clamp (budget ≤ smallest internal ring) keeps the pinned ring
@@ -4239,16 +4239,14 @@ fn pick_instance(
     staging: &BurstStaging,
     service: ServiceId,
     dispatch: ReplicaDispatch,
-    key: &FlowKey,
+    hash: u64,
 ) -> Option<usize> {
     let candidates = service_instances.get(&service)?;
     if candidates.is_empty() {
         return None;
     }
     match dispatch {
-        ReplicaDispatch::Sticky => {
-            Some(candidates[(key.stable_hash() % candidates.len() as u64) as usize])
-        }
+        ReplicaDispatch::Sticky => Some(candidates[(hash % candidates.len() as u64) as usize]),
         ReplicaDispatch::LeastLoaded => candidates
             .iter()
             .copied()
@@ -4662,14 +4660,17 @@ impl NfEngine {
             &self.stats,
             self.pin_timeouts,
         );
+        // Each verdict goes into the item's position of its descriptor
+        // before the item's completion decrement publishes it; the round's
+        // final completer hands the descriptor back to the worker.
         for (index, item) in items.drain(..).enumerate() {
-            item.collector.lock().push(self.verdicts.as_slice()[index]);
-            if item.shared.complete_one() {
+            let word = verdict_word(self.verdicts.as_slice()[index]);
+            if item.shared.complete_with(item.position as usize, word) {
                 self.done_staging.push(DoneItem {
                     shared: item.shared,
                     key: item.key,
+                    hash: item.hash,
                     exit_service: item.exit_service,
-                    collector: item.collector,
                     traced: item.traced,
                     nf_started_ns: burst_started_ns,
                     nf_ended_ns: burst_ended_ns,
@@ -4689,7 +4690,7 @@ impl NfEngine {
                 gate.release(leftover);
             }
             for item in self.done_staging.drain(..) {
-                self.tracker.finish(&item.key);
+                self.tracker.finish_hash(item.hash);
                 // This thread is not the trace ring's producer, so a traced
                 // packet dying here cannot emit its terminal span — account
                 // it as a dropped span so conservation checks stay honest.
@@ -4809,8 +4810,9 @@ mod tests {
         let item = |shared: &SharedPacket| WorkItem {
             shared: shared.clone(),
             key: packet(1).flow_key().unwrap(),
+            hash: 0,
             exit_service: ServiceId::new(1),
-            collector: Arc::new(Mutex::new(Vec::new())),
+            position: 0,
             traced: false,
         };
         let a = SharedPacket::new(packet(1), 2);
@@ -4857,13 +4859,156 @@ mod tests {
         staging.per_ring[0].push(WorkItem {
             shared: shared.clone(),
             key: packet(9).flow_key().unwrap(),
+            hash: 0,
             exit_service: ServiceId::new(1),
-            collector: Arc::new(Mutex::new(Vec::new())),
+            position: 0,
             traced: false,
         });
         assert!(parallel_fits(&staging, &slots, &[0]));
         assert!(!parallel_fits(&staging, &slots, &[0, 0]));
         assert!(parallel_fits(&staging, &slots, &[0, 1]));
+    }
+
+    #[test]
+    fn verdict_words_round_trip() {
+        for verdict in [
+            Verdict::Default,
+            Verdict::Discard,
+            Verdict::ToService(ServiceId::new(0)),
+            Verdict::ToService(ServiceId::new(u32::MAX)),
+            Verdict::ToPort(0),
+            Verdict::ToPort(Port::MAX),
+        ] {
+            assert_eq!(word_verdict(verdict_word(verdict)), verdict);
+        }
+        // A descriptor position nobody wrote reads as the default path.
+        assert_eq!(word_verdict(0), Verdict::Default);
+    }
+
+    /// A rule naming a service with no active replica on the shard drops
+    /// the packet as `dropped` (no ring was full) on the sequential first
+    /// hop, the parallel first hop and a re-dispatch alike. The worker
+    /// never retires a service's last replica, so `remove_nf_replica`
+    /// cannot empty a service; a service the shard never started is the
+    /// same state.
+    #[test]
+    fn missing_replica_is_a_drop_on_every_hop() {
+        let present = ServiceId::new(1);
+        let missing = ServiceId::new(9);
+        let nic = RulePort::Nic(0);
+        let table = SharedFlowTable::new();
+        let on = |step: RulePort, port: u16| FlowMatch::at_step(step).with_src_port(port);
+        // Flow 1: sequential first hop to the missing service.
+        table.insert(FlowRule::new(on(nic, 1), vec![Action::ToService(missing)]));
+        // Flow 2: parallel first hop naming both services.
+        table.insert(FlowRule::parallel(
+            on(nic, 2),
+            vec![Action::ToService(present), Action::ToService(missing)],
+        ));
+        // Flow 3: reaches the present service, then is re-dispatched to
+        // the missing one.
+        table.insert(FlowRule::new(on(nic, 3), vec![Action::ToService(present)]));
+        table.insert(FlowRule::new(
+            on(RulePort::Service(present), 3),
+            vec![Action::ToService(missing)],
+        ));
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            |_| vec![(present, Box::new(NoOpNf::new()) as Box<dyn NetworkFunction>)],
+            ThreadedHostConfig::default(),
+        );
+        for port in 1..=3 {
+            assert!(host.inject(packet(port)).is_admitted());
+        }
+        while sim.step_all() > 0 {}
+        let snap = host.stats().snapshot();
+        assert_eq!(snap.received, 3);
+        assert_eq!(
+            snap.dropped, 3,
+            "every hop counts a missing replica as a drop"
+        );
+        assert_eq!(snap.overflow_drops, 0, "no ring was full");
+        assert_eq!(snap.nf_invocations, 1, "only flow 3 reached an NF");
+        assert_eq!(host.available_credits(0), host.credit_capacity());
+        assert!(host.poll_egress().is_none());
+    }
+
+    /// Discards the packets of one source port and sends the rest down the
+    /// default path.
+    struct DiscardSrcPort(u16);
+
+    impl NetworkFunction for DiscardSrcPort {
+        fn name(&self) -> &str {
+            "discard-src-port"
+        }
+
+        fn process(&mut self, packet: &Packet, _ctx: &mut NfContext) -> Verdict {
+            match packet.flow_key() {
+                Some(key) if key.src_port == self.0 => Verdict::Discard,
+                _ => Verdict::Default,
+            }
+        }
+    }
+
+    /// A parallel round wider than a descriptor's inline verdict words:
+    /// on the first hop the descriptor is built with spilled words; on a
+    /// re-dispatch the one-reader descriptor is replaced by a wider one.
+    /// The spilled position's verdict (a discard by the fifth NF) decides.
+    #[test]
+    fn fan_out_wider_than_the_inline_verdicts() {
+        let first = ServiceId::new(1);
+        let wide: Vec<ServiceId> = (2..=6).map(ServiceId::new).collect();
+        assert!(wide.len() > sdnfv_ring::shared::INLINE_VERDICTS);
+        let last = *wide.last().unwrap();
+        let to_wide: Vec<Action> = wide.iter().copied().map(Action::ToService).collect();
+        let nic = |port: u16| FlowMatch::at_step(RulePort::Nic(0)).with_src_port(port);
+        let table = SharedFlowTable::new();
+        // Flow 1 reaches the wide round on a re-dispatch, flows 2 and 3 on
+        // their first hop; the last wide NF discards flow 3.
+        table.insert(FlowRule::new(nic(1), vec![Action::ToService(first)]));
+        table.insert(FlowRule::parallel(nic(2), to_wide.clone()));
+        table.insert(FlowRule::parallel(nic(3), to_wide.clone()));
+        table.insert(FlowRule::parallel(
+            FlowMatch::at_step(RulePort::Service(first)),
+            to_wide,
+        ));
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Service(last)),
+            vec![Action::ToPort(1)],
+        ));
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            |_| {
+                let mut nfs: Vec<(ServiceId, Box<dyn NetworkFunction>)> =
+                    vec![(first, Box::new(NoOpNf::new()))];
+                for &service in &wide {
+                    let nf: Box<dyn NetworkFunction> = if service == last {
+                        Box::new(DiscardSrcPort(3))
+                    } else {
+                        Box::new(NoOpNf::new())
+                    };
+                    nfs.push((service, nf));
+                }
+                nfs
+            },
+            ThreadedHostConfig::default(),
+        );
+        let sent: Vec<Packet> = (1..=3).map(packet).collect();
+        for p in &sent {
+            assert!(host.inject(p.clone()).is_admitted());
+        }
+        while sim.step_all() > 0 {}
+        let mut out: Vec<HostOutput> = host.poll_egress_burst(8);
+        out.sort_by_key(|o| o.key.src_port);
+        let ports: Vec<(u16, Port)> = out.iter().map(|o| (o.key.src_port, o.port)).collect();
+        assert_eq!(ports, [(1, 1), (2, 1)], "flow 3 is discarded");
+        for (o, p) in out.iter().zip(&sent) {
+            assert_eq!(o.packet.data(), p.data(), "egress bytes intact");
+        }
+        let snap = host.stats().snapshot();
+        assert_eq!(snap.dropped, 1);
+        assert_eq!(snap.parallel_dispatches, 3);
+        assert_eq!(snap.nf_invocations, 1 + 3 * wide.len() as u64);
     }
 
     #[test]

@@ -43,6 +43,17 @@ pub enum Action {
     Trace,
 }
 
+impl Action {
+    /// The service this action delivers to, if it is a
+    /// [`Action::ToService`].
+    pub fn service(&self) -> Option<ServiceId> {
+        match self {
+            Action::ToService(service) => Some(*service),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
