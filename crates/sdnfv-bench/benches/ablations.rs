@@ -1,16 +1,17 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
-//! flow-lookup caching, load-balancer policy, and the division heuristic's
-//! sub-problem size.
+//! flow-lookup caching, replica dispatch policy, and the division
+//! heuristic's sub-problem size. The data-plane ablations run through the
+//! `NfManager` facade, so they measure the shipping shard engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sdnfv_dataplane::{LoadBalancePolicy, NfManager, NfManagerConfig};
+use sdnfv_dataplane::{NfManager, ReplicaDispatch, ThreadedHostConfig};
 use sdnfv_graph::{catalog, CompileOptions};
 use sdnfv_nf::nfs::NoOpNf;
 use sdnfv_placement::{DivisionSolver, PlacementProblem, PlacementSolver};
 use sdnfv_proto::packet::PacketBuilder;
 use std::hint::black_box;
 
-fn chain_manager(config: NfManagerConfig, instances_per_service: usize) -> NfManager {
+fn chain_manager(config: ThreadedHostConfig, instances_per_service: usize) -> NfManager {
     let (graph, ids) = catalog::chain(&[("a", true), ("b", true), ("c", true), ("d", true)]);
     let mut manager = NfManager::new(config);
     manager.install_graph(&graph, &CompileOptions::default());
@@ -26,9 +27,9 @@ fn bench_flow_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablate_flow_cache");
     for (label, enabled) in [("cache_on", true), ("cache_off", false)] {
         let mut manager = chain_manager(
-            NfManagerConfig {
+            ThreadedHostConfig {
                 enable_lookup_cache: enabled,
-                ..NfManagerConfig::default()
+                ..ThreadedHostConfig::default()
             },
             1,
         );
@@ -46,15 +47,14 @@ fn bench_flow_cache(c: &mut Criterion) {
 
 fn bench_load_balance(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablate_load_balance");
-    for (label, policy) in [
-        ("round_robin", LoadBalancePolicy::RoundRobin),
-        ("min_queue", LoadBalancePolicy::MinQueue),
-        ("flow_hash", LoadBalancePolicy::FlowHash),
+    for (label, replica_dispatch) in [
+        ("sticky", ReplicaDispatch::Sticky),
+        ("least_loaded", ReplicaDispatch::LeastLoaded),
     ] {
         let mut manager = chain_manager(
-            NfManagerConfig {
-                load_balance: policy,
-                ..NfManagerConfig::default()
+            ThreadedHostConfig {
+                replica_dispatch,
+                ..ThreadedHostConfig::default()
             },
             3,
         );

@@ -1,21 +1,22 @@
-//! Per-packet vs batch-first dispatch through the inline NF Manager, plus
-//! the shard-scaling axis of the threaded runtime.
+//! Per-packet vs burst calls into the NF Manager, plus the shard-scaling
+//! axis of the threaded runtime.
 //!
-//! The batch-first redesign claims that moving packets in bursts amortizes
-//! per-packet costs (flow-table lookups, virtual NF dispatch, bookkeeping)
-//! — this bench measures it instead of asserting it. The same fig7-style
-//! traffic (a 2-NF no-op chain, 256-byte packets, 8 active flows) runs
-//! through `process_packet` in a loop (scalar baseline) and through
-//! `process_burst` at burst sizes {1, 8, 32, 128}; throughput is reported
-//! per packet so the numbers are directly comparable. The acceptance bar
-//! for the redesign is ≥ 1.5× `process_burst/32` over `process_burst/1`.
+//! Moving packets in bursts amortizes per-packet costs (ring operations,
+//! flow-table lookups, virtual NF dispatch, stepping the engines) — this
+//! bench measures it instead of asserting it. The same fig7-style traffic
+//! (a 2-NF no-op chain, 256-byte packets, 8 active flows) runs through the
+//! `NfManager` facade — the shipping shard engine, stepped on the bench
+//! thread until idle after every call — via `process_packet` in a loop
+//! (one packet per call) and via `process_burst` at burst sizes
+//! {1, 8, 32, 128}; throughput is reported per packet so the numbers are
+//! directly comparable.
 //!
 //! The `batch_dispatch_shards` group runs the same 2-NF chain through the
 //! sharded `ThreadedHost` at `num_shards` ∈ {1, 2, 4}: a closed loop pumps
 //! packets over 64 flows with backpressure, so the measurement is whole
-//! pipeline shards (steering, credit gate, per-shard worker + NF threads),
-//! not just the inline engine. Shard scaling needs cores — on a single-CPU
-//! box the numbers record scheduling overhead, not speedup.
+//! pipeline shards (steering, credit gate, per-shard worker + NF threads)
+//! on their own threads. Shard scaling needs cores — on a single-CPU box
+//! the numbers record scheduling overhead, not speedup.
 //!
 //! Environment knobs (for CI trend recording):
 //! * `SDNFV_BENCH_QUICK=1` — shrink the per-configuration workload;

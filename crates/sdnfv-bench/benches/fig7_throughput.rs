@@ -1,8 +1,8 @@
 //! Figure 7: throughput vs packet size. Criterion reports per-packet
-//! processing throughput of the inline engine per packet size — through the
-//! scalar entry point and through the batch-first `process_burst` path
-//! (burst of 32) — so both dispatch modes are visible per packet size. The
-//! Gbps curves on the threaded runtime come from `figures -- fig7`.
+//! processing throughput of the `NfManager` facade (the shipping shard
+//! engine stepped on the bench thread) per packet size — one packet per
+//! call and bursts of 32 — so both call shapes are visible per packet size.
+//! The Gbps curves on the threaded runtime come from `figures -- fig7`.
 //!
 //! The `fig7_threaded_shards` group adds the shard-count axis on the
 //! threaded runtime: the same 2-NF chain, 256-byte packets, pumped through

@@ -2,8 +2,9 @@
 //!
 //! The wall-clock round-trip numbers of Table 2 are produced by
 //! `figures -- table2` on the threaded runtime; this Criterion bench tracks
-//! the per-packet processing cost of the same chains on the inline engine,
-//! which is the regression-sensitive part of that latency.
+//! the per-packet processing cost of the same chains through the
+//! `NfManager` facade (the shipping shard engine stepped on the bench
+//! thread), which is the regression-sensitive part of that latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdnfv_dataplane::NfManager;

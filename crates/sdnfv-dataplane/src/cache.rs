@@ -28,11 +28,10 @@ use std::borrow::Cow;
 use sdnfv_flowtable::{Decision, RulePort, SharedFlowTable};
 use sdnfv_proto::flow::FlowKey;
 
-/// The cached-lookup protocol every engine shares: consult `cache` (tagged
-/// with the table's generation, expired after `ttl_ns`) when `enabled`,
-/// fall back to the table, and remember the result. The single definition
-/// keeps the inline `NfManager` and the threaded runtime's lookup semantics
-/// identical.
+/// The cached-lookup protocol: consult `cache` (tagged with the table's
+/// generation, expired after `ttl_ns`) when `enabled`, fall back to the
+/// table, and remember the result. The shard engine calls the hashed twin,
+/// [`cached_lookup_hashed`].
 pub fn cached_lookup(
     table: &SharedFlowTable,
     cache: &mut LookupCache,

@@ -1,23 +1,25 @@
 //! The SDNFV NF Manager: the per-host data plane runtime (paper §4).
 //!
-//! Two execution engines are provided over the same building blocks:
+//! There is one packet path, driven two ways:
 //!
-//! * [`manager::NfManager`] — an inline (synchronous) engine that walks each
-//!   packet through the host's flow table and network functions on the
-//!   calling thread. It is deterministic, which makes it the engine of
-//!   choice for the discrete-event simulator and for unit tests.
 //! * [`runtime::ThreadedHost`] — the multi-threaded, **sharded** runtime
 //!   mirroring the paper's implementation: packets are steered by 5-tuple
 //!   flow hash into independent pipeline shards (RSS-style), each running a
 //!   poll-mode dispatch/egress worker plus per-NF "VM" threads fed through
 //!   lock-free SPSC rings, with credit-based ingress backpressure instead of
-//!   silent overflow drops. This engine is what the latency/throughput
-//!   experiments (Table 2, Figures 6 and 7) run on.
+//!   silent overflow drops.
+//! * [`sim`] — the same shard and NF engines registered as step-callable
+//!   actors under a virtual clock, for the deterministic-simulation harness.
+//!   [`manager::NfManager`] is a synchronous facade over a one-shard host
+//!   driven this way: `process_packet`/`process_burst` step the engines on
+//!   the calling thread until the packets are out. The simulators, the
+//!   paper-figure benches and most tests use it.
 //!
-//! Shared building blocks:
+//! Building blocks:
 //!
 //! * [`loadbalance`] — round-robin, shortest-queue and flow-hash balancing
-//!   across NF instances of the same service (§4.2),
+//!   policies (the §5.1 load-balancing micro-measurement; the shard engine
+//!   spreads replicas with [`ReplicaDispatch`]),
 //! * [`conflict`] — resolution of conflicting verdicts from NFs processing
 //!   one packet in parallel (§4.2),
 //! * [`cache`] — per-thread caching of flow-table lookups (§4.2),
@@ -42,7 +44,7 @@ pub mod wire;
 pub use cache::LookupCache;
 pub use conflict::resolve_parallel_verdicts;
 pub use loadbalance::LoadBalancePolicy;
-pub use manager::{NfManager, NfManagerConfig, PacketOutcome};
+pub use manager::{NfManager, PacketOutcome};
 pub use messages::{apply_nf_message, apply_nf_message_tracked, AppliedChange, NfManagerMessage};
 pub use rehome::{BucketHandout, RehomeEvent, RehomeReport, RehomeStep};
 pub use runtime::{

@@ -1,6 +1,7 @@
 //! Application of NF cross-layer messages to the host flow table
 //! (paper §3.4).
 
+use parking_lot::Mutex;
 use sdnfv_flowtable::{Action, FlowTable, RulePort, ServiceId, WildcardMutation};
 use sdnfv_nf::NfMessage;
 
@@ -12,6 +13,35 @@ pub struct NfManagerMessage {
     pub from: ServiceId,
     /// The message itself.
     pub message: NfMessage,
+}
+
+/// How many applied NF messages one shard holds for the control plane
+/// before it drops (and counts) new ones.
+pub(crate) const NF_MESSAGE_QUEUE_CAP: usize = 1024;
+
+/// One shard's bounded queue of applied NF messages awaiting the control
+/// plane ([`ThreadedHost::take_nf_messages`](crate::ThreadedHost::take_nf_messages)).
+/// NF replicas push into it only when they emit a message, so the
+/// per-packet path never touches it.
+#[derive(Debug, Default)]
+pub(crate) struct NfMessageQueue(Mutex<Vec<NfManagerMessage>>);
+
+impl NfMessageQueue {
+    /// Queues `message`; returns `false`, dropping it, when the queue is
+    /// full.
+    pub(crate) fn push(&self, message: NfManagerMessage) -> bool {
+        let mut queue = self.0.lock();
+        if queue.len() >= NF_MESSAGE_QUEUE_CAP {
+            return false;
+        }
+        queue.push(message);
+        true
+    }
+
+    /// Drains the queue, oldest message first.
+    pub(crate) fn take(&self) -> Vec<NfManagerMessage> {
+        std::mem::take(&mut *self.0.lock())
+    }
 }
 
 /// What applying a message changed locally, reported back to the caller (and

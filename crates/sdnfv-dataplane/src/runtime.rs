@@ -108,8 +108,8 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use sdnfv_flowtable::{
-    Action, EvictReason, EvictedRule, FlowRule, FlowTablePartitions, MutationLog, RuleId, RulePort,
-    ServiceId, SharedFlowTable,
+    Action, Decision, EvictReason, EvictedRule, FlowRule, FlowTablePartitions, MutationLog, RuleId,
+    RulePort, ServiceId, SharedFlowTable,
 };
 use sdnfv_nf::{
     NetworkFunction, NfContext, NfFlowState, PacketBatch, PacketBatchMut, Verdict, VerdictSlice,
@@ -125,7 +125,9 @@ use sdnfv_telemetry::{
 
 use crate::cache::{cached_lookup_hashed, LookupCache};
 use crate::conflict::resolve_parallel_verdicts;
-use crate::messages::{apply_nf_message_tracked_with, PinTimeouts};
+use crate::messages::{
+    apply_nf_message_tracked_with, NfManagerMessage, NfMessageQueue, PinTimeouts,
+};
 use crate::rehome::{
     BucketHandout, BucketTracker, HandoutPhase, ImportDelivery, MovePhase, RehomeEvent,
     RehomeReport, RehomeState, RehomeStep, RetiringShard,
@@ -637,6 +639,9 @@ struct WorkItem {
     /// the NF replica stamps its burst window onto the [`DoneItem`] and the
     /// worker emits spans at each stage.
     traced: bool,
+    /// Dispatch rounds the packet has taken on this shard, this one
+    /// included (bounded by [`MAX_CHAIN_HOPS`]; sits in padding).
+    hops: u8,
 }
 
 /// A completed dispatch round on its way back to the worker: pushed by the
@@ -648,6 +653,7 @@ struct DoneItem {
     hash: u64,
     exit_service: ServiceId,
     traced: bool,
+    hops: u8,
     /// Host-clock window of the NF burst that completed the packet (the
     /// last replica, for parallel dispatch). Stamped by the NF thread so
     /// the worker — the trace ring's single producer — can emit the NF
@@ -711,6 +717,8 @@ struct ShardPorts {
     /// The shard's latency histograms (shared with its threads; the host
     /// records pen dwell here and merges reports on demand).
     latency: Arc<ShardLatency>,
+    /// Applied NF messages awaiting [`ThreadedHost::take_nf_messages`].
+    messages: Arc<NfMessageQueue>,
     /// Tombstone: `true` once the slot's shard has been fully retired (its
     /// worker joined, its buckets re-homed away). A tombstoned slot keeps
     /// its index — steering entries and stats stay valid — until either a
@@ -1416,6 +1424,19 @@ impl ThreadedHost {
             merged.merge(&ports.latency.report());
         }
         merged
+    }
+
+    /// Drains the cross-layer messages NF replicas have applied since the
+    /// last call, in shard order (oldest first within a shard) — the feed
+    /// of the SDNFV Application / SDN controller connection. Each shard
+    /// holds at most 1024 undrained messages; later ones are still applied
+    /// to the flow table but only counted in `nf_messages_dropped`.
+    pub fn take_nf_messages(&self) -> Vec<NfManagerMessage> {
+        let mut out = Vec::new();
+        for ports in self.shards.borrow().iter() {
+            out.append(&mut ports.messages.take());
+        }
+        out
     }
 
     /// Drains the bucket re-home steps ([`RehomeEvent`]) journaled since
@@ -2371,6 +2392,7 @@ fn launch_pipeline(
         .then(|| Arc::new(CreditGate::new(credit_capacity)));
     let stop = Arc::new(AtomicBool::new(false));
     let latency = Arc::new(ShardLatency::default());
+    let messages = Arc::new(NfMessageQueue::default());
 
     let (ingress_tx, ingress_rx) = spsc_ring::<IngressFrame>(config.ingress_capacity);
     let (egress_tx, egress_rx) = spsc_ring::<HostOutput>(config.egress_capacity);
@@ -2444,6 +2466,7 @@ fn launch_pipeline(
         latency: Arc::clone(&latency),
         traces: traces_tx,
         trace_sampling: Arc::clone(trace_sampling),
+        messages: Arc::clone(&messages),
     };
     let handle = match runtime {
         PipelineRuntime::Threads => {
@@ -2466,6 +2489,7 @@ fn launch_pipeline(
             stop,
             traces: traces_rx,
             latency,
+            messages,
             retired: Cell::new(false),
         },
         handle,
@@ -2475,11 +2499,11 @@ fn launch_pipeline(
 /// Lock-free measurements one NF thread shares with its shard's worker: the
 /// worker reads them when composing a [`TelemetrySnapshot`].
 #[derive(Debug, Default)]
-struct NfProbe {
+pub(crate) struct NfProbe {
     /// EWMA of per-packet service time, nanoseconds.
     service_time_ewma_ns: AtomicU64,
     /// Total packets processed.
-    processed: AtomicU64,
+    pub(crate) processed: AtomicU64,
 }
 
 /// Lifecycle of one NF replica slot on a shard. Slot indices are stable
@@ -2569,6 +2593,12 @@ impl BurstStaging {
 
 /// Decisions each shard worker's lookup cache holds.
 const LOOKUP_CACHE_ENTRIES: usize = 4096;
+
+/// Upper bound on the NF dispatch rounds one packet may take inside a
+/// shard. A rule cycle (a service whose rule sends packets back to itself,
+/// directly or around a loop) would otherwise hold the packet, and its
+/// credit, forever; the round that would exceed the bound drops it instead.
+pub(crate) const MAX_CHAIN_HOPS: u8 = 64;
 
 /// Why a packet could not be staged to the NFs its rule names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -2745,6 +2775,8 @@ pub(crate) struct ShardEngine {
     traces: Producer<TraceSpan>,
     /// Host-wide sampling knob (one of every N flows by stable hash).
     trace_sampling: Arc<AtomicU64>,
+    /// The shard's queue of applied NF messages, handed to every replica.
+    messages: Arc<NfMessageQueue>,
 }
 
 impl ShardEngine {
@@ -3080,6 +3112,7 @@ impl ShardEngine {
             channel: Arc::clone(&channel),
             probe: Arc::clone(&probe),
             measure: self.telemetry_interval_ns != 0,
+            messages: Arc::clone(&self.messages),
             trusted: self.trusted,
             clock: self.clock.clone(),
             burst_size: self.burst_size,
@@ -3841,6 +3874,7 @@ impl ShardEngine {
         hash: u64,
         exit_service: ServiceId,
         traced: bool,
+        hops: u8,
     ) {
         let last = self.targets.len() - 1;
         let item = |shared: SharedPacket, position: usize| WorkItem {
@@ -3850,6 +3884,7 @@ impl ShardEngine {
             exit_service,
             position: position as u32,
             traced,
+            hops,
         };
         for (position, &index) in self.targets[..last].iter().enumerate() {
             self.staging.per_ring[index].push(item(shared.clone(), position));
@@ -3918,7 +3953,7 @@ impl ShardEngine {
         match picked {
             Ok(exit_service) => {
                 let shared = SharedPacket::new(packet, self.targets.len() as u32);
-                self.stage_round(shared, key, hash, exit_service, traced);
+                self.stage_round(shared, key, hash, exit_service, traced, 1);
                 rx_span(self, SpanVerdict::Forwarded);
             }
             Err(why) => {
@@ -3980,18 +4015,13 @@ impl ShardEngine {
                 self.cache_ttl_ns,
             );
             match (resolved.as_action(), decision) {
-                // Follow the whole decision (it may itself be a parallel
-                // rule or a multi-action list).
+                // Follow the decision (it may itself be a parallel rule).
                 (None, Some(decision)) => {
                     self.forward_decision(item, &decision.actions, decision.parallel, now_ns)
                 }
                 (None, None) => self.forward_decision(item, &[Action::ToController], false, now_ns),
                 (Some(requested), decision) => {
-                    let action = match decision {
-                        Some(decision) if decision.allows(requested) => requested,
-                        Some(decision) => decision.default_action().unwrap_or(Action::Drop),
-                        None => requested,
-                    };
+                    let action = validate_requested(decision.as_deref(), requested);
                     self.forward_decision(item, &[action], false, now_ns);
                 }
             }
@@ -4002,7 +4032,9 @@ impl ShardEngine {
 
     /// Forwards a completed packet according to an action list by re-arming
     /// its descriptor and staging it again (or staging it for egress /
-    /// dropping it).
+    /// dropping it). A sequential list is followed by its default (first)
+    /// action only, exactly as at RX; a parallel list reaches every
+    /// service it names.
     fn forward_decision(
         &mut self,
         item: DoneItem,
@@ -4016,6 +4048,7 @@ impl ShardEngine {
             hash,
             exit_service: done_service,
             traced,
+            hops,
             nf_ended_ns,
             ..
         } = item;
@@ -4053,13 +4086,19 @@ impl ShardEngine {
                 Some(Action::ToService(_)) => {}
             }
         }
-        // Re-dispatch to one or more NFs. All-or-nothing for any
-        // multi-target re-dispatch (parallel or a sequential rule listing
-        // several services): partial delivery would let the packet's fate
-        // be decided by a subset of the NFs it was meant to visit. See the
+        if hops >= MAX_CHAIN_HOPS {
+            // A rule cycle: the packet has used up its hop budget.
+            self.terminate(hash, false);
+            tx_span(self, SpanVerdict::Dropped);
+            return;
+        }
+        // Re-dispatch to one or more NFs. All-or-nothing for a parallel
+        // re-dispatch: partial delivery would let the packet's fate be
+        // decided by a subset of the NFs it was meant to visit. See the
         // matching check in `dispatch`.
+        let services = if parallel { actions } else { &actions[..1] };
         let picked = self
-            .pick_targets(actions.iter().filter_map(Action::service), hash)
+            .pick_targets(services.iter().filter_map(Action::service), hash)
             .and_then(|exit_service| {
                 if parallel_fits(&self.staging, &self.slots, &self.targets) {
                     Ok(exit_service)
@@ -4088,7 +4127,7 @@ impl ShardEngine {
         } else {
             SharedPacket::new(shared.into_packet(), readers)
         };
-        self.stage_round(shared, key, hash, exit_service, traced);
+        self.stage_round(shared, key, hash, exit_service, traced, hops + 1);
         tx_span(self, SpanVerdict::Forwarded);
     }
 
@@ -4187,6 +4226,19 @@ impl ShardEngine {
     }
 }
 
+/// Validates an NF's explicit steering request against the rule at its
+/// step: an allowed next hop is obeyed, a disallowed one falls back to the
+/// rule's default action (or a drop if it has none). With no rule at the
+/// step a drop is honoured and any other request goes to the controller.
+fn validate_requested(decision: Option<&Decision>, requested: Action) -> Action {
+    match decision {
+        Some(decision) if decision.allows(requested) => requested,
+        Some(decision) => decision.default_action().unwrap_or(Action::Drop),
+        None if requested == Action::Drop => Action::Drop,
+        None => Action::ToController,
+    }
+}
+
 /// Length of the longest prefix of `items` in which no two work items share
 /// a packet buffer (always ≥ 1 for a non-empty slice). Used to split bursts
 /// that would otherwise write-lock the same buffer twice.
@@ -4280,7 +4332,10 @@ pub(crate) struct NfThread {
     probe: Arc<NfProbe>,
     /// Whether to measure service times into the probe (off when the
     /// host's telemetry exporter is disabled — nothing would read them).
+    /// The processed count is kept either way.
     measure: bool,
+    /// The shard's queue of applied NF messages for the control plane.
+    messages: Arc<NfMessageQueue>,
     trusted: bool,
     clock: HostClock,
     burst_size: usize,
@@ -4296,32 +4351,11 @@ impl NfThread {
     pub(crate) fn sim_label(&self) -> String {
         format!("shard{}/nf{}", self.shard, self.service)
     }
-}
 
-/// Applies a context's queued cross-layer messages to the shard partition,
-/// recording every wildcard mutation in the partition's provenance log
-/// keyed by the mutating flow's steering bucket (unattributed messages are
-/// logged bucket-less and travel with every departing bucket).
-#[allow(clippy::too_many_arguments)]
-fn apply_ctx_messages(
-    ctx: &mut NfContext,
-    service: ServiceId,
-    table: &SharedFlowTable,
-    mutation_log: &MutationLog,
-    tracker: &BucketTracker,
-    trusted: bool,
-    stats: &ShardStats,
-    pin_timeouts: PinTimeouts,
-) {
-    for attributed in ctx.take_attributed_messages() {
-        stats.add_nf_messages(1);
-        let (_, wildcard) = table.with_write(|t| {
-            apply_nf_message_tracked_with(t, service, &attributed.message, trusted, pin_timeouts)
-        });
-        if let Some(mutation) = wildcard {
-            let bucket = attributed.flow.as_ref().map(|key| tracker.bucket_of(key));
-            mutation_log.record(bucket, mutation);
-        }
+    /// The replica's service and its probe, for the simulation registry's
+    /// actor listing.
+    pub(crate) fn probe(&self) -> (ServiceId, Arc<NfProbe>) {
+        (self.service, Arc::clone(&self.probe))
     }
 }
 
@@ -4369,6 +4403,7 @@ pub(crate) struct NfEngine {
     channel: Arc<NfStateChannel>,
     probe: Arc<NfProbe>,
     measure: bool,
+    messages: Arc<NfMessageQueue>,
     trusted: bool,
     clock: HostClock,
     burst_size: usize,
@@ -4392,7 +4427,7 @@ impl NfEngine {
         let NfThread {
             shard,
             service,
-            mut nf,
+            nf,
             input,
             done,
             running,
@@ -4405,26 +4440,16 @@ impl NfEngine {
             channel,
             probe,
             measure,
+            messages,
             trusted,
             clock,
             burst_size,
             pin_timeouts,
             latency,
         } = thread;
-        let mut ctx = NfContext::for_shard(shard, clock.now_ns());
-        nf.on_start(&mut ctx);
-        apply_ctx_messages(
-            &mut ctx,
-            service,
-            &table,
-            &mutation_log,
-            &tracker,
-            trusted,
-            &stats,
-            pin_timeouts,
-        );
+        let ctx = NfContext::for_shard(shard, clock.now_ns());
         let read_only = nf.read_only();
-        NfEngine {
+        let mut engine = NfEngine {
             service,
             nf,
             input,
@@ -4439,6 +4464,7 @@ impl NfEngine {
             channel,
             probe,
             measure,
+            messages,
             trusted,
             clock,
             burst_size,
@@ -4452,6 +4478,43 @@ impl NfEngine {
             service_time: Ewma::default(),
             deferred_handoffs: Vec::new(),
             finished: false,
+        };
+        engine.nf.on_start(&mut engine.ctx);
+        engine.apply_messages();
+        engine
+    }
+
+    /// Applies the context's queued cross-layer messages to the shard
+    /// partition and queues each for the control plane. Every wildcard
+    /// mutation is recorded in the partition's provenance log, keyed by the
+    /// mutating flow's steering bucket (unattributed messages are logged
+    /// bucket-less and travel with every departing bucket).
+    fn apply_messages(&mut self) {
+        for attributed in self.ctx.take_attributed_messages() {
+            self.stats.add_nf_messages(1);
+            let (_, wildcard) = self.table.with_write(|t| {
+                apply_nf_message_tracked_with(
+                    t,
+                    self.service,
+                    &attributed.message,
+                    self.trusted,
+                    self.pin_timeouts,
+                )
+            });
+            if let Some(mutation) = wildcard {
+                let bucket = attributed
+                    .flow
+                    .as_ref()
+                    .map(|key| self.tracker.bucket_of(key));
+                self.mutation_log.record(bucket, mutation);
+            }
+            let queued = self.messages.push(NfManagerMessage {
+                from: self.service,
+                message: attributed.message,
+            });
+            if !queued {
+                self.stats.add_nf_messages_dropped(1);
+            }
         }
     }
 
@@ -4639,10 +4702,10 @@ impl NfEngine {
                 self.service_time.update(per_packet_ns as f64) as u64,
                 Ordering::Relaxed,
             );
-            self.probe
-                .processed
-                .fetch_add(items.len() as u64, Ordering::Relaxed);
         }
+        self.probe
+            .processed
+            .fetch_add(items.len() as u64, Ordering::Relaxed);
         self.stats.add_nf_invocations(items.len() as u64);
         // Cross-layer messages emitted anywhere inside the burst are applied
         // to the shared table *before* completed descriptors are handed to
@@ -4650,16 +4713,7 @@ impl NfEngine {
         // thread) already see them. Wildcard mutations land in the
         // partition's provenance log, attributed to the mutating flow's
         // bucket, so future bucket re-homes replay them.
-        apply_ctx_messages(
-            &mut self.ctx,
-            self.service,
-            &self.table,
-            &self.mutation_log,
-            &self.tracker,
-            self.trusted,
-            &self.stats,
-            self.pin_timeouts,
-        );
+        self.apply_messages();
         // Each verdict goes into the item's position of its descriptor
         // before the item's completion decrement publishes it; the round's
         // final completer hands the descriptor back to the worker.
@@ -4672,6 +4726,7 @@ impl NfEngine {
                     hash: item.hash,
                     exit_service: item.exit_service,
                     traced: item.traced,
+                    hops: item.hops,
                     nf_started_ns: burst_started_ns,
                     nf_ended_ns: burst_ended_ns,
                 });
@@ -4732,6 +4787,7 @@ mod tests {
     use sdnfv_flowtable::{FlowMatch, FlowRule};
     use sdnfv_graph::{catalog, CompileOptions};
     use sdnfv_nf::nfs::{ComputeNf, NoOpNf};
+    use sdnfv_nf::NfMessage;
     use sdnfv_proto::packet::PacketBuilder;
     use std::time::{Duration, Instant};
 
@@ -4814,6 +4870,7 @@ mod tests {
             exit_service: ServiceId::new(1),
             position: 0,
             traced: false,
+            hops: 1,
         };
         let a = SharedPacket::new(packet(1), 2);
         let b = SharedPacket::new(packet(2), 1);
@@ -4863,6 +4920,7 @@ mod tests {
             exit_service: ServiceId::new(1),
             position: 0,
             traced: false,
+            hops: 1,
         });
         assert!(parallel_fits(&staging, &slots, &[0]));
         assert!(!parallel_fits(&staging, &slots, &[0, 0]));
@@ -4931,6 +4989,158 @@ mod tests {
         assert_eq!(snap.nf_invocations, 1, "only flow 3 reached an NF");
         assert_eq!(host.available_credits(0), host.credit_capacity());
         assert!(host.poll_egress().is_none());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn hop_count_rides_in_padding() {
+        assert_eq!(std::mem::size_of::<WorkItem>(), 40);
+        assert_eq!(std::mem::size_of::<DoneItem>(), 56);
+    }
+
+    #[test]
+    fn rule_cycle_drops_at_the_hop_bound() {
+        let service = ServiceId::new(1);
+        let table = SharedFlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToService(service)],
+        ));
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Service(service)),
+            vec![Action::ToService(service)],
+        ));
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            |_| vec![(service, Box::new(NoOpNf::new()) as Box<dyn NetworkFunction>)],
+            ThreadedHostConfig::default(),
+        );
+        assert!(host.inject(packet(1)).is_admitted());
+        while sim.step_all() > 0 {}
+        let snap = host.stats().snapshot();
+        assert_eq!(snap.dropped, 1);
+        assert_eq!(snap.nf_invocations, u64::from(MAX_CHAIN_HOPS));
+        assert_eq!(host.available_credits(0), host.credit_capacity());
+        assert!(host.poll_egress().is_none());
+    }
+
+    /// Asks for a fixed next hop on every packet.
+    struct Steer(Verdict);
+
+    impl NetworkFunction for Steer {
+        fn name(&self) -> &str {
+            "steer"
+        }
+
+        fn process(&mut self, _packet: &Packet, _ctx: &mut NfContext) -> Verdict {
+            self.0
+        }
+    }
+
+    #[test]
+    fn steering_request_without_a_rule_goes_to_the_controller() {
+        let service = ServiceId::new(1);
+        let table = SharedFlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToService(service)],
+        ));
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            table,
+            |_| {
+                vec![(
+                    service,
+                    Box::new(Steer(Verdict::ToPort(7))) as Box<dyn NetworkFunction>,
+                )]
+            },
+            ThreadedHostConfig::default(),
+        );
+        assert!(host.inject(packet(1)).is_admitted());
+        while sim.step_all() > 0 {}
+        assert!(host.poll_egress().is_none(), "no rule allows port 7");
+        let snap = host.stats().snapshot();
+        assert_eq!(snap.controller_punts, 1);
+        assert_eq!(host.available_credits(0), host.credit_capacity());
+    }
+
+    /// Sends `on_start` custom messages at start-up and one per packet.
+    struct Chatty {
+        on_start: usize,
+    }
+
+    impl NetworkFunction for Chatty {
+        fn name(&self) -> &str {
+            "chatty"
+        }
+
+        fn on_start(&mut self, ctx: &mut NfContext) {
+            for i in 0..self.on_start {
+                ctx.send(NfMessage::custom("start", i.to_string()));
+            }
+        }
+
+        fn process(&mut self, _packet: &Packet, ctx: &mut NfContext) -> Verdict {
+            ctx.send(NfMessage::custom("packet", "seen"));
+            Verdict::Default
+        }
+    }
+
+    #[test]
+    fn take_nf_messages_drains_what_the_replicas_applied() {
+        let service = ServiceId::new(1);
+        let table = SharedFlowTable::new();
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Nic(0)),
+            vec![Action::ToService(service)],
+        ));
+        table.insert(FlowRule::new(
+            FlowMatch::at_step(RulePort::Service(service)),
+            vec![Action::ToPort(1)],
+        ));
+        let host = ThreadedHost::start(
+            table,
+            vec![(service, Box::new(Chatty { on_start: 0 }))],
+            ThreadedHostConfig::default(),
+        );
+        for port in 0..3 {
+            assert!(host.inject(packet(port)).is_admitted());
+        }
+        assert_eq!(collect_outputs(&host, 3).len(), 3);
+        // A replica queues its messages before handing the packets back.
+        let messages = host.take_nf_messages();
+        assert_eq!(messages.len(), 3);
+        assert!(messages.iter().all(|m| m.from == service));
+        assert!(host.take_nf_messages().is_empty());
+        assert_eq!(host.stats().snapshot().nf_messages, 3);
+        host.shutdown();
+    }
+
+    #[test]
+    fn nf_message_queue_is_bounded_and_counts_overflow() {
+        let service = ServiceId::new(1);
+        let (host, sim) = ThreadedHost::start_sim_sharded(
+            SharedFlowTable::new(),
+            |_| {
+                vec![(
+                    service,
+                    Box::new(Chatty {
+                        on_start: crate::messages::NF_MESSAGE_QUEUE_CAP + 2,
+                    }) as Box<dyn NetworkFunction>,
+                )]
+            },
+            ThreadedHostConfig::default(),
+        );
+        while sim.step_all() > 0 {}
+        let snap = host.stats().snapshot();
+        assert_eq!(
+            snap.nf_messages,
+            crate::messages::NF_MESSAGE_QUEUE_CAP as u64 + 2
+        );
+        assert_eq!(snap.nf_messages_dropped, 2);
+        assert_eq!(
+            host.take_nf_messages().len(),
+            crate::messages::NF_MESSAGE_QUEUE_CAP
+        );
     }
 
     /// Discards the packets of one source port and sends the rest down the

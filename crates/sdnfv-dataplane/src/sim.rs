@@ -27,8 +27,8 @@ use sdnfv_ring::Consumer;
 use sdnfv_telemetry::HostClock;
 
 use crate::runtime::{
-    IngressFrame, NfEngine, NfThread, PipelineRuntime, ReplicaSpawner, ShardEngine, TaskHandle,
-    ThreadedHost, ThreadedHostConfig,
+    IngressFrame, NfEngine, NfProbe, NfThread, PipelineRuntime, ReplicaSpawner, ShardEngine,
+    TaskHandle, ThreadedHost, ThreadedHostConfig,
 };
 
 /// One registered actor: a shard worker (with its ingress ring) or an NF
@@ -61,6 +61,10 @@ pub struct SimActorInfo {
     pub kind: SimActorKind,
     /// Whether the actor's engine reached its terminal state.
     pub finished: bool,
+    /// The service an NF replica implements (`None` for a worker).
+    pub service: Option<ServiceId>,
+    /// Packets the NF replica has processed (0 for a worker).
+    pub processed: u64,
 }
 
 struct SimCell {
@@ -68,6 +72,9 @@ struct SimCell {
     label: String,
     kind: SimActorKind,
     finished: Arc<AtomicBool>,
+    /// An NF replica's service and probe (kept past the engine's drop, so
+    /// a finished replica still reports what it processed).
+    probe: Option<(ServiceId, Arc<NfProbe>)>,
     /// `None` while the actor is being stepped (taken out so stepping can
     /// re-enter the registry, e.g. a worker spawning a replica), or after
     /// it finished (the engine is dropped at that point).
@@ -87,7 +94,13 @@ pub struct SimRegistry {
 }
 
 impl SimRegistry {
-    fn register(&mut self, label: String, kind: SimActorKind, actor: SimActor) -> Arc<AtomicBool> {
+    fn register(
+        &mut self,
+        label: String,
+        kind: SimActorKind,
+        probe: Option<(ServiceId, Arc<NfProbe>)>,
+        actor: SimActor,
+    ) -> Arc<AtomicBool> {
         let finished = Arc::new(AtomicBool::new(false));
         let id = self.next_id;
         self.next_id += 1;
@@ -96,6 +109,7 @@ impl SimRegistry {
             label,
             kind,
             finished: Arc::clone(&finished),
+            probe,
             actor: Some(actor),
         });
         finished
@@ -120,11 +134,14 @@ impl SimSpawner {
 impl ReplicaSpawner for SimSpawner {
     fn spawn_replica(&mut self, thread: NfThread) -> TaskHandle {
         let label = thread.sim_label();
+        let probe = Some(thread.probe());
         let engine = NfEngine::new(thread);
-        let finished =
-            self.registry
-                .lock()
-                .register(label, SimActorKind::Nf, SimActor::Nf(Box::new(engine)));
+        let finished = self.registry.lock().register(
+            label,
+            SimActorKind::Nf,
+            probe,
+            SimActor::Nf(Box::new(engine)),
+        );
         TaskHandle::Sim(finished)
     }
 }
@@ -142,6 +159,7 @@ pub(crate) fn register_worker(
     registry.lock().register(
         label,
         SimActorKind::Worker,
+        None,
         SimActor::Worker {
             engine: Box::new(engine),
             ingress,
@@ -186,6 +204,11 @@ impl SimHandle {
                 label: cell.label.clone(),
                 kind: cell.kind,
                 finished: cell.finished.load(Ordering::Acquire),
+                service: cell.probe.as_ref().map(|(service, _)| *service),
+                processed: cell
+                    .probe
+                    .as_ref()
+                    .map_or(0, |(_, probe)| probe.processed.load(Ordering::Relaxed)),
             })
             .collect()
     }

@@ -1,6 +1,5 @@
 //! Wildcard match criteria over flow 5-tuples.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -12,7 +11,7 @@ use crate::types::RulePort;
 ///
 /// The DDoS use case in the paper matches "traffic from an IP prefix"; this
 /// type provides that granularity while `/32` prefixes give exact matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IpPrefix {
     /// Network address.
     pub addr: Ipv4Addr,
@@ -54,7 +53,7 @@ impl fmt::Display for IpPrefix {
 ///
 /// The `step` field is the SDNFV extension — which NIC port or service the
 /// packet is coming from; `None` matches any step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlowMatch {
     /// Step (NIC port or preceding service) the rule applies to.
     pub step: Option<RulePort>,

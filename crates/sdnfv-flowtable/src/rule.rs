@@ -1,6 +1,5 @@
 //! Flow rules: match criteria plus an (ordered) action list.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -10,9 +9,7 @@ use crate::matching::FlowMatch;
 use crate::types::ServiceId;
 
 /// Identifier of a rule within one flow table.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct RuleId(pub u64);
 
 impl fmt::Display for RuleId {
@@ -25,7 +22,7 @@ impl fmt::Display for RuleId {
 ///
 /// These are the OpenFlow `OUTPUT` actions of the paper, with service IDs
 /// treated as logical output ports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Deliver the packet to the NF providing this service.
     ToService(ServiceId),
@@ -67,7 +64,7 @@ impl fmt::Display for Action {
 }
 
 /// A rule in an SDNFV flow table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowRule {
     /// Match criteria.
     pub matcher: FlowMatch,

@@ -1,6 +1,5 @@
 //! Identifiers shared across the SDNFV control and data planes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use sdnfv_proto::packet::Port;
@@ -10,9 +9,7 @@ use sdnfv_proto::packet::Port;
 /// Service IDs decouple "what processing a packet needs next" (e.g. *a* Video
 /// Detector) from the address of the specific NF instance that provides it,
 /// so NFs can be replicated or moved without reconfiguring their neighbours.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ServiceId(pub u32);
 
 impl ServiceId {
@@ -43,7 +40,7 @@ impl From<u32> for ServiceId {
 /// entering the host) or the service whose NF just finished with the packet.
 ///
 /// This is the paper's repurposed OpenFlow "input port" match field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RulePort {
     /// A NIC port: the rule applies to packets arriving from the wire.
     Nic(Port),

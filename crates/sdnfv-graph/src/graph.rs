@@ -1,7 +1,6 @@
 //! Service graph construction, validation, analysis and compilation to
 //! flow-table rules.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
@@ -66,7 +65,7 @@ impl fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// A directed edge of the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Edge {
     to: GraphNode,
     default: bool,
@@ -106,56 +105,11 @@ impl Default for CompileOptions {
 }
 
 /// An immutable, validated service graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(into = "GraphRepr", from = "GraphRepr")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceGraph {
     name: String,
     services: BTreeMap<ServiceId, ServiceNode>,
     edges: BTreeMap<GraphNode, Vec<Edge>>,
-}
-
-/// Flat serde representation of a [`ServiceGraph`] (maps with non-string
-/// keys do not serialize to JSON, so edges are flattened to a list).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct GraphRepr {
-    name: String,
-    services: Vec<ServiceNode>,
-    edges: Vec<(GraphNode, GraphNode, bool)>,
-}
-
-impl From<ServiceGraph> for GraphRepr {
-    fn from(graph: ServiceGraph) -> Self {
-        GraphRepr {
-            name: graph.name,
-            services: graph.services.into_values().collect(),
-            edges: graph
-                .edges
-                .into_iter()
-                .flat_map(|(from, edges)| edges.into_iter().map(move |e| (from, e.to, e.default)))
-                .collect(),
-        }
-    }
-}
-
-impl From<GraphRepr> for ServiceGraph {
-    fn from(repr: GraphRepr) -> Self {
-        let mut edges: BTreeMap<GraphNode, Vec<Edge>> = BTreeMap::new();
-        for (from, to, default) in repr.edges {
-            let list = edges.entry(from).or_default();
-            let edge = Edge { to, default };
-            // Preserve the default-first ordering used by the builder.
-            if default {
-                list.insert(0, edge);
-            } else {
-                list.push(edge);
-            }
-        }
-        ServiceGraph {
-            name: repr.name,
-            services: repr.services.into_iter().map(|s| (s.id, s)).collect(),
-            edges,
-        }
-    }
 }
 
 /// Builder for [`ServiceGraph`].
@@ -810,16 +764,5 @@ mod tests {
         assert!(rules
             .iter()
             .all(|r| r.matcher.step != Some(RulePort::Service(bee))));
-    }
-
-    // Gated: requires the real serde_json crate, unavailable offline (see
-    // shims/README.md and ROADMAP.md "Open items").
-    #[cfg(feature = "json-tests")]
-    #[test]
-    fn graph_serializes_to_json() {
-        let (g, _, _) = simple_graph();
-        let json = serde_json::to_string(&g).unwrap();
-        let back: ServiceGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, g);
     }
 }

@@ -1,12 +1,11 @@
 //! Graph vertices: services plus the distinguished source and sink.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use sdnfv_flowtable::ServiceId;
 
 /// A vertex reference in a service graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GraphNode {
     /// The packet's entry point into the graph (traffic arriving from the
     /// network).
@@ -45,7 +44,7 @@ impl From<ServiceId> for GraphNode {
 }
 
 /// Metadata describing one service vertex.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceNode {
     /// The service identity.
     pub id: ServiceId,

@@ -108,7 +108,7 @@ pub struct AttributedNfMessage {
 ///
 /// The payload is deliberately schema-free — a list of named counters plus
 /// an optional raw byte blob — so NFs can round-trip their state without
-/// any serialization framework (the offline `serde` shim stays a no-op).
+/// any serialization framework.
 /// Only the NF that produced a state needs to understand it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NfFlowState {
@@ -176,7 +176,7 @@ pub struct NfContext {
 
 impl NfContext {
     /// Creates a context for a packet processed at time `now_ns` (on shard
-    /// 0 — the inline engine and single-shard hosts).
+    /// 0, as on single-shard hosts).
     pub fn new(now_ns: u64) -> Self {
         NfContext::for_shard(0, now_ns)
     }

@@ -1,13 +1,11 @@
 //! The placement problem: services, flows, and the MILP's parameters.
 
-use serde::{Deserialize, Serialize};
-
 use sdnfv_flowtable::ServiceId;
 
 use crate::topology::{NodeId, Topology};
 
 /// A service type that can be instantiated on nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSpec {
     /// The service identity (matches service-graph vertices).
     pub id: ServiceId,
@@ -30,7 +28,7 @@ impl ServiceSpec {
 }
 
 /// One flow that must be routed through a chain of services.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
     /// Flow identifier (dense, used for indexing).
     pub id: usize,
@@ -47,7 +45,7 @@ pub struct FlowSpec {
 }
 
 /// A complete placement problem instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlacementProblem {
     /// The network.
     pub topology: Topology,

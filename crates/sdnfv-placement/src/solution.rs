@@ -1,7 +1,6 @@
 //! Placement solutions: flow assignments, routing, utilization accounting
 //! and constraint validation.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use sdnfv_flowtable::ServiceId;
@@ -10,7 +9,7 @@ use crate::model::{FlowSpec, PlacementProblem};
 use crate::topology::NodeId;
 
 /// Where one flow's chain was placed and how it is routed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowAssignment {
     /// The node hosting each position of the flow's service chain.
     pub nodes: Vec<NodeId>,
@@ -21,7 +20,7 @@ pub struct FlowAssignment {
 }
 
 /// A placement of all flows; unplaced (rejected) flows are `None`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Placement {
     /// Per-flow assignments, indexed by `FlowSpec::id`.
     pub assignments: Vec<Option<FlowAssignment>>,

@@ -1,13 +1,12 @@
 //! Network topology model and generators.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
 /// Identifier of a node (switch + attached NFV host) in the topology.
 pub type NodeId = usize;
 
 /// A bidirectional link between two nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// One endpoint.
     pub a: NodeId,
@@ -21,14 +20,14 @@ pub struct Link {
 }
 
 /// A node: a switch with an attached COTS server able to host NF instances.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Node {
     /// Number of CPU cores available for NFs (the MILP's `C_i`).
     pub cores: u32,
 }
 
 /// An undirected network topology of NFV-capable nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,

@@ -1,7 +1,5 @@
 //! Ethernet II frame header parsing and serialization.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtoError;
 use crate::mac::MacAddr;
 use crate::Result;
@@ -10,7 +8,7 @@ use crate::Result;
 pub const ETHERNET_HEADER_LEN: usize = 14;
 
 /// The EtherType of a frame: which protocol the payload carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EtherType {
     /// IPv4 (`0x0800`).
     Ipv4,
@@ -46,7 +44,7 @@ impl From<u16> for EtherType {
 }
 
 /// A parsed Ethernet II header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EthernetHeader {
     /// Destination hardware address.
     pub dst: MacAddr,

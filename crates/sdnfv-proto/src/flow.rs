@@ -1,13 +1,12 @@
 //! Flow identity: IP protocol numbers and the classic 5-tuple [`FlowKey`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 use crate::packet::Packet;
 
 /// Transport protocol carried inside an IPv4 datagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IpProtocol {
     /// ICMP (protocol number 1).
     Icmp,
@@ -58,7 +57,7 @@ impl fmt::Display for IpProtocol {
 /// Flow keys are the unit of matching in the
 /// [`sdnfv-flowtable`](https://docs.rs/sdnfv-flowtable) crate and the unit of
 /// consistency for flow-hash load balancing in the NF Manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Source IPv4 address.
     pub src_ip: Ipv4Addr,

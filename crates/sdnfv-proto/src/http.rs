@@ -5,13 +5,11 @@
 //! HTTP requests. Only the small subset of HTTP needed for that is
 //! implemented: request lines, status lines and header fields.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtoError;
 use crate::Result;
 
 /// An HTTP request method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// GET
     Get,
@@ -50,7 +48,7 @@ impl Method {
 }
 
 /// A parsed HTTP request head (request line plus headers).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
     /// Request method.
     pub method: Method,
@@ -61,7 +59,7 @@ pub struct HttpRequest {
 }
 
 /// A parsed HTTP response head (status line plus headers).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpResponse {
     /// Numeric status code.
     pub status: u16,

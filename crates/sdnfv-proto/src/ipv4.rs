@@ -1,6 +1,5 @@
 //! IPv4 header parsing, serialization and checksum computation.
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 use crate::error::ProtoError;
@@ -11,7 +10,7 @@ use crate::Result;
 pub const IPV4_HEADER_LEN: usize = 20;
 
 /// A parsed IPv4 header (options are preserved only as a length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ipv4Header {
     /// Differentiated services / type-of-service byte.
     pub dscp_ecn: u8,

@@ -1,13 +1,12 @@
 //! MAC (Ethernet hardware) addresses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 use crate::error::ProtoError;
 
 /// A 48-bit IEEE 802 MAC address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {

@@ -5,8 +5,6 @@
 //! (request id, sequence number, datagram count, reserved), followed by the
 //! ordinary text protocol (`get <key>\r\n`, `set <key> ...`).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtoError;
 use crate::Result;
 
@@ -14,7 +12,7 @@ use crate::Result;
 pub const MEMCACHED_UDP_HEADER_LEN: usize = 8;
 
 /// The 8-byte frame header prepended to memcached-over-UDP datagrams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpFrameHeader {
     /// Opaque request id chosen by the client, echoed in the response.
     pub request_id: u16,
@@ -66,7 +64,7 @@ impl UdpFrameHeader {
 }
 
 /// A memcached text-protocol command relevant to the proxy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// `get <key>` — retrieve a value.
     Get {
@@ -93,7 +91,7 @@ impl Command {
 }
 
 /// A parsed memcached-over-UDP request: frame header plus command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// UDP frame header.
     pub frame: UdpFrameHeader,

@@ -1,7 +1,5 @@
 //! TCP header parsing and serialization.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtoError;
 use crate::Result;
 
@@ -9,7 +7,7 @@ use crate::Result;
 pub const TCP_HEADER_LEN: usize = 20;
 
 /// TCP control flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
@@ -46,7 +44,7 @@ impl TcpFlags {
 }
 
 /// A parsed TCP header (options preserved only as a length).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpHeader {
     /// Source port.
     pub src_port: u16,

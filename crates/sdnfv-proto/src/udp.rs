@@ -1,7 +1,5 @@
 //! UDP header parsing and serialization.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ProtoError;
 use crate::Result;
 
@@ -9,7 +7,7 @@ use crate::Result;
 pub const UDP_HEADER_LEN: usize = 8;
 
 /// A parsed UDP header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,

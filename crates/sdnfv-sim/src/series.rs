@@ -1,10 +1,8 @@
 //! Small helpers for the time series and sweep curves the scenarios emit.
 
-use serde::{Deserialize, Serialize};
-
 /// A named series of `(x, y)` points — a curve in one of the paper's
 /// figures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
     /// Curve label (e.g. `"Incoming"`, `"SDNFV"`).
     pub label: String,
@@ -107,17 +105,5 @@ mod tests {
         let tsv = s.to_tsv();
         assert!(tsv.starts_with("# test"));
         assert!(tsv.contains("1.0000\t3.0000"));
-    }
-
-    // Gated: requires the real serde_json crate, unavailable offline (see
-    // shims/README.md and ROADMAP.md "Open items").
-    #[cfg(feature = "json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let mut s = TimeSeries::new("curve");
-        s.push(1.0, 2.0);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: TimeSeries = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -1,5 +1,7 @@
 //! Quickstart: build a service graph, install it on an NF Manager, and push
-//! traffic through both the inline engine and the multi-threaded runtime.
+//! traffic through it — first through the `NfManager` facade, which steps
+//! the shard engine on this thread, then through the multi-threaded
+//! runtime, which runs the same engine on its own threads.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -11,7 +13,7 @@ use sdnfv::nf::NetworkFunction;
 use sdnfv::proto::packet::PacketBuilder;
 
 fn main() {
-    // ---------------------------------------------------------------- inline
+    // ------------------------------------------------------------ NfManager
     // 1. A service graph: the paper's anomaly-detection application.
     let (graph, services) = catalog::anomaly_detection();
     println!(
@@ -33,7 +35,7 @@ fn main() {
     manager.add_nf(services.ids, Box::new(NoOpNf::new()));
     manager.add_nf(services.scrubber, Box::new(NoOpNf::new()));
 
-    // 3. Push traffic through in bursts (the batch-first fast path; use
+    // 3. Push traffic through in bursts (one engine run per burst; use
     //    `process_packet` for one-off packets) and look at what happened.
     let mut transmitted = 0;
     for burst_index in 0..(1000 / 32u32) {
@@ -56,7 +58,7 @@ fn main() {
             .count();
     }
     let stats = manager.stats().snapshot();
-    println!("\ninline engine: {transmitted} packets transmitted");
+    println!("\nNF Manager: {transmitted} packets transmitted");
     println!(
         "  NF invocations: {}, parallel dispatches: {}, drops: {}",
         stats.nf_invocations, stats.parallel_dispatches, stats.dropped

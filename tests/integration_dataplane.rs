@@ -2,7 +2,7 @@
 //! tables, NFs attached, packets pushed through both engines.
 
 use sdnfv::dataplane::{
-    LoadBalancePolicy, NfManager, NfManagerConfig, PacketOutcome, ThreadedHost, ThreadedHostConfig,
+    NfManager, PacketOutcome, ReplicaDispatch, ThreadedHost, ThreadedHostConfig,
 };
 use sdnfv::flowtable::{FlowMatch, ServiceId, SharedFlowTable};
 use sdnfv::graph::{catalog, CompileOptions};
@@ -95,9 +95,9 @@ fn parallel_and_sequential_chains_agree_on_results() {
 #[test]
 fn flow_hash_load_balancing_keeps_flows_sticky() {
     let (graph, ids) = catalog::chain(&[("worker", true)]);
-    let mut manager = NfManager::new(NfManagerConfig {
-        load_balance: LoadBalancePolicy::FlowHash,
-        ..NfManagerConfig::default()
+    let mut manager = NfManager::new(ThreadedHostConfig {
+        replica_dispatch: ReplicaDispatch::Sticky,
+        ..ThreadedHostConfig::default()
     });
     manager.install_graph(&graph, &CompileOptions::default());
     manager.add_nf(ids[0], Box::new(NoOpNf::new()));
