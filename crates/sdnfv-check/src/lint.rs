@@ -351,12 +351,13 @@ fn statement_start(raw_lines: &[&str], masked_lines: &[&str], line: usize) -> us
 /// File-scope predicates the rules use, derived from the workspace-relative
 /// path.
 struct Scope {
-    /// tests/, benches/ directories, or shims/ — exempt from the behavioral
-    /// rules (timestamp, hot-path, todo).
+    /// tests/, benches/ directories, out-of-line `tests.rs` modules, or
+    /// shims/ — exempt from the behavioral rules (timestamp, hot-path,
+    /// todo).
     test_like: bool,
     /// The lock-free core the `atomic-order` rule covers.
     atomic_core: bool,
-    /// The engine file whose hot-path fns the `hot-path-block` rule scans.
+    /// An engine file whose hot-path fns the `hot-path-block` rule scans.
     hot_path_file: bool,
 }
 
@@ -364,6 +365,8 @@ fn classify(path: &Path) -> Scope {
     let p = path.to_string_lossy().replace('\\', "/");
     let test_like = p.contains("/tests/")
         || p.starts_with("tests/")
+        // An out-of-line `#[cfg(test)] mod tests;` body.
+        || p.ends_with("/tests.rs")
         || p.contains("/benches/")
         || p.starts_with("shims/")
         || p.contains("/examples/")
@@ -379,7 +382,8 @@ fn classify(path: &Path) -> Scope {
         && !p.ends_with("/model.rs")
         && !p.ends_with("/sync.rs"))
         || p.ends_with("crates/sdnfv-telemetry/src/hist.rs");
-    let hot_path_file = p.ends_with("crates/sdnfv-dataplane/src/runtime.rs");
+    // Every non-test file of the engine's runtime module.
+    let hot_path_file = p.contains("crates/sdnfv-dataplane/src/runtime/") && !test_like;
     Scope {
         test_like,
         atomic_core,
@@ -701,11 +705,22 @@ mod tests {
     #[test]
     fn lock_in_a_per_packet_fn_is_flagged() {
         let src = "impl Engine {\n    fn tx_round(&mut self) {\n        let verdicts = self.collector.lock();\n    }\n    fn spawn_nf(&mut self) {\n        let ok = self.registry.lock();\n    }\n}\n";
-        let findings = scan_source(Path::new("crates/sdnfv-dataplane/src/runtime.rs"), src);
+        let findings = scan_source(
+            Path::new("crates/sdnfv-dataplane/src/runtime/engine.rs"),
+            src,
+        );
         let rules: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
         // Only the lock inside the per-packet TX role is flagged; control
         // paths such as replica spawning may lock.
         assert_eq!(rules, [("hot-path-block", 3)], "{findings:?}");
+        // The whole runtime module is in scope, its test file is not.
+        let nf = scan_source(Path::new("crates/sdnfv-dataplane/src/runtime/nf.rs"), src);
+        assert_eq!(nf.len(), 1, "{nf:?}");
+        let tests = scan_source(
+            Path::new("crates/sdnfv-dataplane/src/runtime/tests.rs"),
+            src,
+        );
+        assert!(tests.is_empty(), "{tests:?}");
     }
 
     #[test]

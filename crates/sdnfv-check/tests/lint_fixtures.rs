@@ -76,7 +76,10 @@ fn atomic_order_rule_only_applies_to_the_lock_free_core() {
 
 #[test]
 fn hot_path_rule_flags_blocking_in_hot_fns_only() {
-    let findings = scan_fixture("hotpath_bad.rs", "crates/sdnfv-dataplane/src/runtime.rs");
+    let findings = scan_fixture(
+        "hotpath_bad.rs",
+        "crates/sdnfv-dataplane/src/runtime/engine.rs",
+    );
     assert_eq!(
         rules(&findings),
         ["hot-path-block", "hot-path-block"],

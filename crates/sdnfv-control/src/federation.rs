@@ -112,9 +112,9 @@ pub struct WireStat {
 pub struct FederationReport {
     /// Frames delivered across the interconnect into a destination host.
     pub frames_delivered: u64,
-    /// Frames dropped at delivery because the destination host runs a
-    /// drop overflow policy and its gate was full. Zero under the default
-    /// backpressure policy.
+    /// Frames dropped at delivery. Always zero: a saturated destination
+    /// throttles the frame back onto the wire instead of dropping it. Kept
+    /// as a ledger column of the federation bench artifact.
     pub frames_dropped: u64,
     /// Cross-host bucket re-homes completed.
     pub buckets_rehomed: u64,
@@ -546,10 +546,6 @@ impl Federation {
                 key,
                 ingress_port,
             }),
-            InjectResult::Dropped => {
-                self.report.frames_dropped += 1;
-                None
-            }
         }
     }
 

@@ -120,7 +120,6 @@ fn inject_all(fed: &mut Federation, packets: Vec<Packet>, outputs: &mut Vec<Fede
                     outputs.extend(fed.pump());
                     std::thread::yield_now();
                 }
-                InjectResult::Dropped => panic!("default policy never drops"),
             }
         }
     }

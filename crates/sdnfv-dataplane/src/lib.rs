@@ -6,8 +6,10 @@
 //!   mirroring the paper's implementation: packets are steered by 5-tuple
 //!   flow hash into independent pipeline shards (RSS-style), each running a
 //!   poll-mode dispatch/egress worker plus per-NF "VM" threads fed through
-//!   lock-free SPSC rings, with credit-based ingress backpressure instead of
-//!   silent overflow drops.
+//!   lock-free SPSC rings. Every admitted packet holds a credit of its
+//!   shard's gate, so overload throttles the injector instead of dropping
+//!   packets. The module is split into the host side, the shard worker
+//!   engine and the NF replica engine.
 //! * [`sim`] — the same shard and NF engines registered as step-callable
 //!   actors under a virtual clock, for the deterministic-simulation harness.
 //!   [`manager::NfManager`] is a synchronous facade over a one-shard host
@@ -24,7 +26,8 @@
 //!   one packet in parallel (§4.2),
 //! * [`cache`] — per-thread caching of flow-table lookups (§4.2),
 //! * [`messages`] — application of NF cross-layer messages (SkipMe,
-//!   RequestMe, ChangeDefault) to the host flow table (§3.4),
+//!   RequestMe, ChangeDefault) to the host flow table (§3.4), through the
+//!   one entry point [`messages::apply_nf_message_tracked_with`],
 //! * [`stats`] — counters describing everything the host did.
 
 #![warn(missing_docs)]
@@ -45,11 +48,11 @@ pub use cache::LookupCache;
 pub use conflict::resolve_parallel_verdicts;
 pub use loadbalance::LoadBalancePolicy;
 pub use manager::{NfManager, PacketOutcome};
-pub use messages::{apply_nf_message, apply_nf_message_tracked, AppliedChange, NfManagerMessage};
+pub use messages::{AppliedChange, NfManagerMessage};
 pub use rehome::{BucketHandout, RehomeEvent, RehomeReport, RehomeStep};
 pub use runtime::{
-    shard_for_flow, BurstInjection, HostOutput, InjectResult, OverflowPolicy, RehomeOrdering,
-    ReplicaDispatch, ThreadedHost, ThreadedHostConfig, STEER_BUCKETS,
+    shard_for_flow, BurstInjection, HostOutput, InjectResult, RehomeOrdering, ReplicaDispatch,
+    ThreadedHost, ThreadedHostConfig, STEER_BUCKETS,
 };
 pub use sim::{SimActorInfo, SimActorKind, SimHandle};
 pub use stats::{HostStats, HostStatsSnapshot, ShardStats};

@@ -41,8 +41,8 @@ pub enum PacketOutcome {
     },
     /// The packet was dropped: by an NF verdict or a drop rule, because it
     /// was unparseable, because its next service has no replica, because a
-    /// rule cycle used up its budget of 64 NF rounds, or because a ring was
-    /// full under [`OverflowPolicy::Drop`](crate::OverflowPolicy).
+    /// rule cycle used up its budget of 64 NF rounds, or because a parallel
+    /// rule naming one service twice overflowed that service's ring.
     Dropped,
     /// The packet must go to the SDN controller: the flow table had no rule
     /// for it, or an NF asked for a next hop with no rule to validate it.
@@ -162,7 +162,7 @@ impl NfManager {
         while !pending.is_empty() {
             let injection = self.host.inject_burst(pending);
             assert!(
-                injection.admitted + injection.dropped > 0,
+                injection.admitted > 0,
                 "an idle host admits at least one packet"
             );
             pending = injection.throttled;

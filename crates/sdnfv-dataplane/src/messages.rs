@@ -56,9 +56,9 @@ pub enum AppliedChange {
 }
 
 /// Timeouts stamped onto exact per-flow pin rules installed by
-/// `ChangeDefault` messages (the host's `pin_idle_timeout_ns` /
-/// `pin_hard_timeout_ns` knobs). `NONE` keeps pins forever — the
-/// pre-lifecycle behavior and the default.
+/// `ChangeDefault` messages (the host stamps its `pin_idle_timeout_ns` knob
+/// and no hard timeout). `NONE` keeps pins forever — the pre-lifecycle
+/// behavior and the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PinTimeouts {
     /// Idle timeout for newly installed pins, if any.
@@ -83,44 +83,25 @@ impl PinTimeouts {
 ///   makes it the default for flows matching `F`.
 /// * `ChangeDefault(F, S, T)` — the default of `S`'s rules becomes `T` for
 ///   flows matching `F` (only if `T` is an allowed next hop, unless `force`).
+///   Exact per-flow rules it installs are stamped with `pin_timeouts`,
+///   entering the table's eviction lifecycle; updates to an *existing* pin
+///   re-stamp it (re-installation restarts the hard-timeout clock, matching
+///   OpenFlow `OFPFC_MODIFY` + timeout).
 /// * `Custom` — not a table change; reported as
 ///   [`AppliedChange::ForwardToApplication`].
 ///
 /// `force` relaxes the service-graph constraint for `ChangeDefault`; the NF
-/// Manager passes `false` for untrusted NFs and lets the SDNFV Application
-/// decide whether to re-apply with `force = true`.
-pub fn apply_nf_message(
-    table: &mut FlowTable,
-    from: ServiceId,
-    message: &NfMessage,
-    force: bool,
-) -> AppliedChange {
-    apply_nf_message_tracked(table, from, message, force).0
-}
-
-/// [`apply_nf_message`] plus provenance: alongside the [`AppliedChange`],
-/// returns the [`WildcardMutation`] the message performed, if it rewrote at
-/// least one **wildcard** rule (a `ChangeDefault` that resolved to an exact
-/// per-flow rule returns `None` — exact rules travel between shard
-/// partitions through the exact index, not the mutation log).
+/// Manager passes `false` and leaves it to the SDNFV Application to decide
+/// whether to re-apply with `force = true`.
 ///
-/// Sharded dispatch layers record the returned mutation in the partition's
+/// Alongside the [`AppliedChange`], returns the [`WildcardMutation`] the
+/// message performed, if it rewrote at least one **wildcard** rule (a
+/// `ChangeDefault` that resolved to an exact per-flow rule returns `None` —
+/// exact rules travel between shard partitions through the exact index,
+/// not the mutation log). Sharded dispatch layers record the returned
+/// mutation in the partition's
 /// [`MutationLog`](sdnfv_flowtable::MutationLog), attributed to the
 /// mutating flow's steering bucket, so bucket re-homes can replay it.
-pub fn apply_nf_message_tracked(
-    table: &mut FlowTable,
-    from: ServiceId,
-    message: &NfMessage,
-    force: bool,
-) -> (AppliedChange, Option<WildcardMutation>) {
-    apply_nf_message_tracked_with(table, from, message, force, PinTimeouts::NONE)
-}
-
-/// [`apply_nf_message_tracked`] with explicit [`PinTimeouts`]: exact
-/// per-flow rules installed by `ChangeDefault` pins are stamped with the
-/// given idle/hard timeouts, entering the table's eviction lifecycle.
-/// Updates to an *existing* pin re-stamp it (re-installation restarts the
-/// hard-timeout clock, matching OpenFlow `OFPFC_MODIFY` + timeout).
 pub fn apply_nf_message_tracked_with(
     table: &mut FlowTable,
     from: ServiceId,
@@ -252,14 +233,16 @@ mod tests {
     #[test]
     fn skip_me_bypasses_sender() {
         let mut t = table();
-        let change = apply_nf_message(
+        let change = apply_nf_message_tracked_with(
             &mut t,
             SAMPLER,
             &NfMessage::SkipMe {
                 flows: FlowMatch::any(),
             },
             false,
-        );
+            PinTimeouts::NONE,
+        )
+        .0;
         assert_eq!(change, AppliedChange::RulesUpdated(1));
         // The firewall now defaults straight to port 1 instead of the sampler.
         assert_eq!(
@@ -273,28 +256,32 @@ mod tests {
     #[test]
     fn skip_me_without_own_rule_is_a_noop() {
         let mut t = table();
-        let change = apply_nf_message(
+        let change = apply_nf_message_tracked_with(
             &mut t,
             ServiceId::new(99),
             &NfMessage::SkipMe {
                 flows: FlowMatch::any(),
             },
             false,
-        );
+            PinTimeouts::NONE,
+        )
+        .0;
         assert_eq!(change, AppliedChange::RulesUpdated(0));
     }
 
     #[test]
     fn request_me_promotes_allowed_edges() {
         let mut t = table();
-        let change = apply_nf_message(
+        let change = apply_nf_message_tracked_with(
             &mut t,
             SCRUBBER,
             &NfMessage::RequestMe {
                 flows: FlowMatch::any(),
             },
             false,
-        );
+            PinTimeouts::NONE,
+        )
+        .0;
         // Only the sampler has an edge to the scrubber.
         assert_eq!(change, AppliedChange::RulesUpdated(1));
         assert_eq!(
@@ -315,7 +302,7 @@ mod tests {
     #[test]
     fn change_default_on_wildcard_rule() {
         let mut t = table();
-        let change = apply_nf_message(
+        let change = apply_nf_message_tracked_with(
             &mut t,
             SAMPLER,
             &NfMessage::ChangeDefault {
@@ -324,7 +311,9 @@ mod tests {
                 new_default: Action::ToService(SCRUBBER),
             },
             false,
-        );
+            PinTimeouts::NONE,
+        )
+        .0;
         assert_eq!(change, AppliedChange::RulesUpdated(1));
         assert_eq!(
             t.peek(RulePort::Service(SAMPLER), &key())
@@ -338,7 +327,7 @@ mod tests {
     fn per_flow_change_default_installs_specific_rule() {
         let mut t = table();
         let flows = FlowMatch::exact(RulePort::Service(SAMPLER), &key());
-        let change = apply_nf_message(
+        let change = apply_nf_message_tracked_with(
             &mut t,
             SAMPLER,
             &NfMessage::ChangeDefault {
@@ -347,7 +336,9 @@ mod tests {
                 new_default: Action::ToService(SCRUBBER),
             },
             false,
-        );
+            PinTimeouts::NONE,
+        )
+        .0;
         assert_eq!(change, AppliedChange::RulesUpdated(1));
         // The specific flow now defaults to the scrubber …
         assert_eq!(
@@ -377,11 +368,11 @@ mod tests {
             new_default: Action::ToPort(9),
         };
         assert_eq!(
-            apply_nf_message(&mut t, FIREWALL, &msg, false),
+            apply_nf_message_tracked_with(&mut t, FIREWALL, &msg, false, PinTimeouts::NONE).0,
             AppliedChange::RulesUpdated(0)
         );
         assert_eq!(
-            apply_nf_message(&mut t, FIREWALL, &msg, true),
+            apply_nf_message_tracked_with(&mut t, FIREWALL, &msg, true, PinTimeouts::NONE).0,
             AppliedChange::RulesUpdated(1)
         );
     }
@@ -390,7 +381,7 @@ mod tests {
     fn tracked_apply_reports_wildcard_mutations_only() {
         let mut t = table();
         // A wildcard ChangeDefault yields a replayable mutation…
-        let (change, mutation) = apply_nf_message_tracked(
+        let (change, mutation) = apply_nf_message_tracked_with(
             &mut t,
             SAMPLER,
             &NfMessage::ChangeDefault {
@@ -399,6 +390,7 @@ mod tests {
                 new_default: Action::ToService(SCRUBBER),
             },
             false,
+            PinTimeouts::NONE,
         );
         assert_eq!(change, AppliedChange::RulesUpdated(1));
         assert!(matches!(
@@ -406,7 +398,7 @@ mod tests {
             Some(WildcardMutation::ChangeDefault { service, .. }) if service == SAMPLER
         ));
         // …an exact-flow ChangeDefault does not (it became an exact rule).
-        let (change, mutation) = apply_nf_message_tracked(
+        let (change, mutation) = apply_nf_message_tracked_with(
             &mut t,
             SAMPLER,
             &NfMessage::ChangeDefault {
@@ -415,11 +407,12 @@ mod tests {
                 new_default: Action::ToService(SCRUBBER),
             },
             false,
+            PinTimeouts::NONE,
         );
         assert_eq!(change, AppliedChange::RulesUpdated(1));
         assert!(mutation.is_none());
         // A rejected message yields neither.
-        let (change, mutation) = apply_nf_message_tracked(
+        let (change, mutation) = apply_nf_message_tracked_with(
             &mut t,
             FIREWALL,
             &NfMessage::ChangeDefault {
@@ -428,30 +421,33 @@ mod tests {
                 new_default: Action::ToPort(9),
             },
             false,
+            PinTimeouts::NONE,
         );
         assert_eq!(change, AppliedChange::RulesUpdated(0));
         assert!(mutation.is_none());
         // SkipMe and RequestMe report their wildcard ops too (fresh tables:
         // both must actually update a rule to count as a mutation).
-        let (_, mutation) = apply_nf_message_tracked(
+        let (_, mutation) = apply_nf_message_tracked_with(
             &mut table(),
             SCRUBBER,
             &NfMessage::RequestMe {
                 flows: FlowMatch::any(),
             },
             false,
+            PinTimeouts::NONE,
         );
         assert!(matches!(
             mutation,
             Some(WildcardMutation::PromoteWhereAllowed { .. })
         ));
-        let (_, mutation) = apply_nf_message_tracked(
+        let (_, mutation) = apply_nf_message_tracked_with(
             &mut table(),
             SAMPLER,
             &NfMessage::SkipMe {
                 flows: FlowMatch::any(),
             },
             false,
+            PinTimeouts::NONE,
         );
         assert!(matches!(
             mutation,
@@ -497,12 +493,14 @@ mod tests {
     fn custom_messages_are_forwarded() {
         let mut t = table();
         assert_eq!(
-            apply_nf_message(
+            apply_nf_message_tracked_with(
                 &mut t,
                 FIREWALL,
                 &NfMessage::custom("ddos.alarm", "10.0.0.0/16"),
-                false
-            ),
+                false,
+                PinTimeouts::NONE
+            )
+            .0,
             AppliedChange::ForwardToApplication
         );
     }

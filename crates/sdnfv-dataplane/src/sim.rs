@@ -27,8 +27,8 @@ use sdnfv_ring::Consumer;
 use sdnfv_telemetry::HostClock;
 
 use crate::runtime::{
-    IngressFrame, NfEngine, NfProbe, NfThread, PipelineRuntime, ReplicaSpawner, ShardEngine,
-    TaskHandle, ThreadedHost, ThreadedHostConfig,
+    IngressFrame, NfEngine, NfProbe, PipelineRuntime, ReplicaSpawner, ShardEngine, TaskHandle,
+    ThreadedHost, ThreadedHostConfig,
 };
 
 /// One registered actor: a shard worker (with its ingress ring) or an NF
@@ -117,8 +117,8 @@ impl SimRegistry {
 }
 
 /// The [`ReplicaSpawner`] used under simulation: instead of spawning an OS
-/// thread per replica, the fully wired replica bundle becomes an
-/// [`NfEngine`] registered as a step-actor.
+/// thread per replica, the built [`NfEngine`] is registered as a
+/// step-actor.
 pub(crate) struct SimSpawner {
     registry: Arc<Mutex<SimRegistry>>,
 }
@@ -132,10 +132,9 @@ impl SimSpawner {
 }
 
 impl ReplicaSpawner for SimSpawner {
-    fn spawn_replica(&mut self, thread: NfThread) -> TaskHandle {
-        let label = thread.sim_label();
-        let probe = Some(thread.probe());
-        let engine = NfEngine::new(thread);
+    fn spawn_replica(&mut self, engine: NfEngine) -> TaskHandle {
+        let label = engine.sim_label();
+        let probe = Some(engine.probe());
         let finished = self.registry.lock().register(
             label,
             SimActorKind::Nf,

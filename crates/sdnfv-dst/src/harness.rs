@@ -545,7 +545,6 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
                     }
                 }
                 InjectResult::Throttled(_) => throttled += 1,
-                InjectResult::Dropped => {}
             }
         }
         if packets > 0 {
@@ -625,12 +624,8 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         for event in host.take_rehome_events() {
             recorder.record_rehome(&event);
         }
-        let credits_ok = (0..host.num_shards()).all(|s| {
-            match (host.available_credits(s), host.credit_budget(s)) {
-                (Some(available), Some(budget)) => available == budget,
-                _ => true,
-            }
-        });
+        let credits_ok =
+            (0..host.num_shards()).all(|s| host.available_credits(s) == host.credit_budget(s));
         let idle = work == 0
             && polled.is_empty()
             && host.pending_rehomes() == 0
@@ -652,14 +647,11 @@ pub fn run_seed(config: &DstConfig) -> RunReport {
         ));
     }
     for shard in 0..host.num_shards() {
-        if let (Some(available), Some(budget)) =
-            (host.available_credits(shard), host.credit_budget(shard))
-        {
-            if available != budget {
-                violations.push(format!(
-                    "credit conservation: shard {shard} has {available}/{budget} after quiescence"
-                ));
-            }
+        let (available, budget) = (host.available_credits(shard), host.credit_budget(shard));
+        if available != budget {
+            violations.push(format!(
+                "credit conservation: shard {shard} has {available}/{budget} after quiescence"
+            ));
         }
     }
     let steering = host.steering_table();

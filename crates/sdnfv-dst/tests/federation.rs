@@ -108,7 +108,6 @@ fn run_schedule(seed: u64) -> (Vec<String>, u64, u64) {
                         injected += 1;
                     }
                     InjectResult::Throttled(_) => break, // retry next tick
-                    InjectResult::Dropped => panic!("backpressure never drops"),
                 }
             }
         }

@@ -57,11 +57,14 @@ fn main() {
     });
     let mut orchestrator = NfvOrchestrator::with_paper_boot_time(registry);
 
-    // Clean web traffic plus one flow carrying a SQL-injection payload.
+    // Clean web traffic plus one flow carrying a SQL-injection payload. The
+    // 1-in-2 sampler sends every second packet (the odd indices) down the
+    // DDoS detector → IDS branch and the rest straight to the sink, so the
+    // malicious packet takes an odd index to meet the IDS.
     let mut dropped = 0;
     let mut transmitted = 0;
     for i in 0..200u16 {
-        let malicious = i == 50;
+        let malicious = i == 51;
         let payload = if malicious {
             "GET /q?id=1 UNION SELECT password FROM users HTTP/1.1\r\n\r\n".to_string()
         } else {
@@ -81,11 +84,13 @@ fn main() {
             PacketOutcome::PuntedToController => {}
         }
     }
+    let nf_messages = manager.stats().snapshot().nf_messages;
     println!("web traffic: {transmitted} transmitted, {dropped} dropped");
     println!(
-        "IDS alerts pinned suspicious flows to the scrubber: {} cross-layer messages",
-        manager.stats().snapshot().nf_messages
+        "IDS alerts pinned suspicious flows to the scrubber: {nf_messages} cross-layer messages"
     );
+    assert!(nf_messages >= 1, "the IDS flags the malicious packet");
+    assert!(dropped >= 1, "the scrubber drops the malicious packet");
 
     // Drive the manager's messages through the SDNFV Application.
     for message in manager.take_messages() {

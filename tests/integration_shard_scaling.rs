@@ -12,7 +12,7 @@ use sdnfv::control::{
     deploy_sharded, ElasticNfManager, ElasticPolicy, NfvOrchestrator, ShardPlacement, ShardPolicy,
 };
 use sdnfv::dataplane::{
-    shard_for_flow, HostOutput, OverflowPolicy, RehomeOrdering, ThreadedHost, ThreadedHostConfig,
+    shard_for_flow, HostOutput, RehomeOrdering, ThreadedHost, ThreadedHostConfig,
 };
 use sdnfv::flowtable::{Action, FlowMatch, FlowRule, RulePort, ServiceId, SharedFlowTable};
 use sdnfv::graph::{catalog, CompileOptions};
@@ -257,7 +257,6 @@ fn flood_scale_out_absorb_scale_in_loses_nothing() {
             nf_ring_capacity: 128,
             shard_credits: 128,
             burst_size: 16,
-            overflow_policy: OverflowPolicy::Backpressure,
             ..ThreadedHostConfig::default()
         },
     );
@@ -291,7 +290,6 @@ fn flood_scale_out_absorb_scale_in_loses_nothing() {
                 .collect();
             let outcome = host.inject_burst(burst);
             *admitted += outcome.admitted as u64;
-            assert_eq!(outcome.dropped, 0, "backpressure must never drop");
             *drained += host.poll_egress_burst(64).len() as u64;
         }
     };
@@ -439,7 +437,6 @@ fn scale_out_while_buckets_are_mid_drain() {
         match host.inject(packet(flow)) {
             sdnfv::dataplane::InjectResult::Admitted => admitted += 1,
             sdnfv::dataplane::InjectResult::Throttled(_) => {}
-            sdnfv::dataplane::InjectResult::Dropped => panic!("backpressure must not drop"),
         }
     }
     let drained = drain(&host, admitted as usize, Duration::from_secs(30));
@@ -1157,7 +1154,6 @@ fn elastic_manager_scales_shard_count_out_and_in() {
             .collect();
         let outcome = host.inject_burst(burst);
         admitted += outcome.admitted as u64;
-        assert_eq!(outcome.dropped, 0, "backpressure must never drop");
         drained += host.poll_egress_burst(64).len() as u64;
         manager.drive(&host);
         if host.num_shards() == 2 {
